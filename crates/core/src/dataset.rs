@@ -8,6 +8,11 @@ use ndt_mlab::{Dataset, Scamper1Row, SimConfig, Simulator, UnifiedDownloadRow};
 /// The generated corpus, ready for analysis.
 pub struct StudyData {
     /// Raw dataset (scamper rows consumed natively by the §5 analyses).
+    ///
+    /// Invariant: `raw.traces` is sorted by `day`, same-day rows in
+    /// arrival order. Every constructor establishes it, and
+    /// [`StudyData::traces_in`] relies on it to slice a window instead of
+    /// filtering the whole corpus.
     pub raw: Dataset,
     /// `ndt.unified_download` as a queryable table (§4 analyses).
     pub unified: Table,
@@ -59,6 +64,17 @@ fn compute_day_gaps_from(days: &std::collections::BTreeSet<i64>) -> Vec<(i64, i6
     gaps
 }
 
+/// Puts the trace rows in day order with a stable sort, so same-day rows
+/// keep their arrival order. The simulator, the pipeline's day-range
+/// merge and the store's shard-by-shard load all emit day-sorted traces,
+/// so this is normally one O(n) check and no sort.
+fn day_ordered(mut raw: Dataset) -> Dataset {
+    if !raw.traces.windows(2).all(|w| w[0].day <= w[1].day) {
+        raw.traces.sort_by_key(|r| r.day);
+    }
+    raw
+}
+
 impl StudyData {
     /// Generates a corpus with the given simulator configuration.
     pub fn generate(config: SimConfig) -> Self {
@@ -68,6 +84,7 @@ impl StudyData {
 
     /// Wraps an already-generated dataset.
     pub fn from_dataset(raw: Dataset) -> Self {
+        let raw = day_ordered(raw);
         let unified = raw.unified_table();
         let day_gaps = compute_day_gaps(&unified);
         Self { raw, unified, day_gaps, second_country: None }
@@ -89,10 +106,19 @@ impl StudyData {
         self.period(p).filter_eq("oblast", &Value::from(oblast))
     }
 
-    /// Scamper rows within a period.
-    pub fn traces_in(&self, p: Period) -> impl Iterator<Item = &Scamper1Row> {
+    /// Scamper rows within a period, in corpus order.
+    pub fn traces_in(&self, p: Period) -> &[Scamper1Row] {
         let (s, e) = p.day_range();
-        self.raw.traces.iter().filter(move |r| (s..e).contains(&r.day))
+        self.traces_in_days(s..e)
+    }
+
+    /// Scamper rows whose day lies in `days`, in corpus order: a binary
+    /// searched slice of the day-sorted [`StudyData::raw`] traces.
+    pub fn traces_in_days(&self, days: std::ops::Range<i64>) -> &[Scamper1Row] {
+        let traces = &self.raw.traces;
+        let lo = traces.partition_point(|r| r.day < days.start);
+        let hi = lo + traces[lo..].partition_point(|r| r.day < days.end);
+        &traces[lo..hi]
     }
 
     /// Total unified rows.
@@ -190,11 +216,12 @@ impl StudyDataBuilder {
     /// Finalizes into a [`StudyData`]. Day gaps are computed from the
     /// ingested table by the same rule as [`StudyData::from_dataset`], so
     /// a builder fed only surviving shards reports exactly the gaps a
-    /// batch run over the same rows would.
+    /// batch run over the same rows would. Trace rows are put in day order
+    /// here too, so shards may arrive in any order.
     pub fn finish(self) -> StudyData {
         let unified = self.unified.unwrap_or_else(empty_unified_table);
         let day_gaps = compute_day_gaps(&unified);
-        StudyData { raw: self.raw, unified, day_gaps, second_country: None }
+        StudyData { raw: day_ordered(self.raw), unified, day_gaps, second_country: None }
     }
 
     /// [`Self::finish`] with the distinct-day set already in hand (the
@@ -205,7 +232,7 @@ impl StudyDataBuilder {
     pub fn finish_with_days(self, days: &std::collections::BTreeSet<i64>) -> StudyData {
         let unified = self.unified.unwrap_or_else(empty_unified_table);
         let day_gaps = compute_day_gaps_from(days);
-        StudyData { raw: self.raw, unified, day_gaps, second_country: None }
+        StudyData { raw: day_ordered(self.raw), unified, day_gaps, second_country: None }
     }
 }
 
@@ -254,12 +281,45 @@ mod tests {
         assert_eq!(empty_window.finish().day_gaps, Vec::<(i64, i64)>::new());
     }
 
+    /// What `traces_in` computed before it became a slice: a linear
+    /// filter over the whole corpus.
+    fn filtered(traces: &[Scamper1Row], p: Period) -> Vec<&Scamper1Row> {
+        let (s, e) = p.day_range();
+        traces.iter().filter(|r| (s..e).contains(&r.day)).collect()
+    }
+
     #[test]
     fn traces_filter_by_day() {
         let data = shared_small();
-        let (s, e) = Period::Wartime2022.day_range();
-        assert!(data.traces_in(Period::Wartime2022).all(|r| (s..e).contains(&r.day)));
-        assert!(data.traces_in(Period::Wartime2022).next().is_some());
+        assert!(!data.traces_in(Period::Wartime2022).is_empty());
+        for p in Period::ALL {
+            let sliced: Vec<&Scamper1Row> = data.traces_in(p).iter().collect();
+            assert_eq!(sliced, filtered(&data.raw.traces, p), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn shards_out_of_day_order_slice_like_the_sorted_corpus() {
+        let full = shared_small();
+        // Feed the corpus as 30-day shards, last shard first.
+        let mut shards: Vec<Vec<Scamper1Row>> = Vec::new();
+        for r in &full.raw.traces {
+            let k = r.day.div_euclid(30) as usize;
+            if shards.len() <= k {
+                shards.resize(k + 1, Vec::new());
+            }
+            shards[k].push(r.clone());
+        }
+        let mut b = StudyDataBuilder::new();
+        for shard in shards.into_iter().rev() {
+            b.push_trace_rows(shard);
+        }
+        let rebuilt = b.finish();
+        assert_eq!(rebuilt.raw.traces, full.raw.traces, "finish restores day order");
+        for p in Period::ALL {
+            let sliced: Vec<&Scamper1Row> = rebuilt.traces_in(p).iter().collect();
+            assert_eq!(sliced, filtered(&full.raw.traces, p), "{p:?}");
+        }
     }
 }
 

@@ -12,10 +12,10 @@
 use crate::coverage::{num_cell, Coverage};
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
+use crate::fasthash::{FastMap, FastSet};
 use crate::render::text_table;
 use ndt_conflict::Period;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Paths-per-connection at the three granularities for one period.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,8 +50,8 @@ pub fn compute(data: &StudyData, top_n: usize) -> Result<AliasComparison, Analys
         .map(|&period| {
             /// Per-connection aggregate: test count, interface-level,
             /// resolver-level and router-level path sets.
-            type ConnPaths = (usize, HashSet<u64>, HashSet<u64>, HashSet<u64>);
-            let mut conns: HashMap<(u32, u32), ConnPaths> = HashMap::new();
+            type ConnPaths = (usize, FastSet<u64>, FastSet<u64>, FastSet<u64>);
+            let mut conns: FastMap<(u32, u32), ConnPaths> = FastMap::default();
             for r in data.traces_in(period) {
                 let e = conns.entry((r.client_ip.0, r.server_ip.0)).or_default();
                 e.0 += 1;

@@ -57,7 +57,7 @@ pub fn compute(data: &StudyData) -> Result<As199995CaseStudy, AnalysisError> {
     let mut ingress: BTreeMap<i64, BTreeMap<Asn, usize>> = BTreeMap::new();
     let mut loss_6663 = DailySeries::new();
     let mut rtt_6663 = DailySeries::new();
-    for r in data.raw.traces.iter().filter(|r| (start..end).contains(&r.day)) {
+    for r in data.traces_in_days(start..end) {
         let Some((border, ua)) = r.border else { continue };
         if ua != wk::AS199995 {
             continue;

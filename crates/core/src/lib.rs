@@ -55,6 +55,7 @@ pub mod ext_correlation;
 pub mod ext_events;
 pub mod ext_ingress;
 pub mod ext_robustness;
+mod fasthash;
 pub mod fig1_map;
 pub mod fig2_national;
 pub mod fig3_oblast;

@@ -10,10 +10,10 @@
 use crate::coverage::Coverage;
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
+use crate::fasthash::{FastMap, FastSet};
 use crate::render::text_table;
 use ndt_conflict::Period;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// One period's row.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -44,15 +44,14 @@ pub fn compute(data: &StudyData, top_n: usize) -> Result<PathDiversity, Analysis
         .iter()
         .map(|&period| {
             // connection → (test count, distinct fingerprints)
-            let mut conns: HashMap<(u32, u32), (usize, HashSet<u64>)> = HashMap::new();
-            let mut traces = 0usize;
-            for r in data.traces_in(period) {
-                traces += 1;
+            let mut conns: FastMap<(u32, u32), (usize, FastSet<u64>)> = FastMap::default();
+            let traces = data.traces_in(period);
+            for r in traces {
                 let e = conns.entry((r.client_ip.0, r.server_ip.0)).or_default();
                 e.0 += 1;
                 e.1.insert(r.path_fingerprint);
             }
-            cov.see(traces);
+            cov.see(traces.len());
             // Ties at the top-N cutoff are broken by connection identity,
             // never by HashMap iteration order — the selection (and the
             // float accumulation below) must be bit-for-bit reproducible.

@@ -11,13 +11,12 @@
 use crate::coverage::Coverage;
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
+use crate::fasthash::FastMap;
 use crate::render::{pct, text_table, times};
 use ndt_conflict::Period;
-use ndt_mlab::Scamper1Row;
 use ndt_stats::{welch_t_test, WelchTTest};
 use ndt_topology::Asn;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One AS's row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -61,15 +60,38 @@ pub struct AsTable {
     pub coverage: Coverage,
 }
 
-/// Tests traversing each AS within a period.
-fn tests_through(data: &StudyData, period: Period) -> HashMap<Asn, Vec<&Scamper1Row>> {
-    let mut map: HashMap<Asn, Vec<&Scamper1Row>> = HashMap::new();
+/// Throughputs, min RTTs and loss rates of the tests through one AS in one
+/// period, in corpus order. Shared with Tables 5/6, which summarize the
+/// same samples.
+#[derive(Debug, Default)]
+pub(crate) struct MetricSamples {
+    pub tput: Vec<f64>,
+    pub rtt: Vec<f64>,
+    pub loss: Vec<f64>,
+}
+
+impl MetricSamples {
+    fn len(&self) -> usize {
+        self.tput.len()
+    }
+}
+
+/// One pass over a period's traces collecting [`MetricSamples`] for each
+/// AS of `ases` (indexed alike). A trace counts once per occurrence of the
+/// AS in its path; paths are loop-free, so that is once per trace.
+fn samples_through(data: &StudyData, period: Period, ases: &[Asn]) -> Vec<MetricSamples> {
+    let mut out: Vec<MetricSamples> = ases.iter().map(|_| MetricSamples::default()).collect();
     for r in data.traces_in(period) {
         for asn in &r.as_path {
-            map.entry(*asn).or_default().push(r);
+            if let Some(i) = ases.iter().position(|a| a == asn) {
+                let s = &mut out[i];
+                s.tput.push(r.mean_tput_mbps);
+                s.rtt.push(r.min_rtt_ms);
+                s.loss.push(r.loss_rate);
+            }
         }
     }
-    map
+    out
 }
 
 /// Top-`n` *named Ukrainian access* ASes by traceroute occurrence in the
@@ -83,8 +105,8 @@ fn tests_through(data: &StudyData, period: Period) -> HashMap<Asn, Vec<&Scamper1
 fn top_ases(data: &StudyData, n: usize) -> Vec<Asn> {
     use ndt_topology::build::SYNTHETIC_ASN_BASE;
     // Access network = the last AS of a path.
-    let mut eyeballs: HashMap<Asn, usize> = HashMap::new();
-    for r in data.traces_in(Period::Prewar2022).chain(data.traces_in(Period::Wartime2022)) {
+    let mut eyeballs: FastMap<Asn, usize> = FastMap::default();
+    for r in data.traces_in(Period::Prewar2022).iter().chain(data.traces_in(Period::Wartime2022)) {
         if let Some(last) = r.as_path.last() {
             if last.0 < SYNTHETIC_ASN_BASE {
                 *eyeballs.entry(*last).or_default() += 1;
@@ -97,45 +119,53 @@ fn top_ases(data: &StudyData, n: usize) -> Vec<Asn> {
     top.into_iter().map(|(a, _)| a).collect()
 }
 
-fn change_row(data: &StudyData, asn: Asn) -> AsChangeRow {
-    let pre = tests_through(data, Period::Prewar2022).remove(&asn).unwrap_or_default();
-    let war = tests_through(data, Period::Wartime2022).remove(&asn).unwrap_or_default();
-    let metric = |rows: &[&Scamper1Row], f: fn(&Scamper1Row) -> f64| -> Vec<f64> {
-        rows.iter().map(|r| f(r)).collect()
-    };
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let tput_pre = metric(&pre, |r| r.mean_tput_mbps);
-    let tput_war = metric(&war, |r| r.mean_tput_mbps);
-    let rtt_pre = metric(&pre, |r| r.min_rtt_ms);
-    let rtt_war = metric(&war, |r| r.min_rtt_ms);
-    let loss_pre = metric(&pre, |r| r.loss_rate);
-    let loss_war = metric(&war, |r| r.loss_rate);
-    let name = data
-        .name_of(asn)
-        .unwrap_or_else(|| asn.to_string());
+fn mean(v: &[f64]) -> f64 {
+    v.iter().sum::<f64>() / v.len().max(1) as f64
+}
+
+fn change_row(data: &StudyData, asn: Asn, pre: &MetricSamples, war: &MetricSamples) -> AsChangeRow {
+    let name = data.name_of(asn).unwrap_or_else(|| asn.to_string());
     AsChangeRow {
         asn,
         name,
         tests_prewar: pre.len(),
         tests_wartime: war.len(),
         d_counts: (war.len() as f64 - pre.len() as f64) / pre.len().max(1) as f64,
-        d_tput: (mean(&tput_war) - mean(&tput_pre)) / mean(&tput_pre),
-        tput_test: welch_t_test(&tput_pre, &tput_war),
-        d_rtt: (mean(&rtt_war) - mean(&rtt_pre)) / mean(&rtt_pre),
-        rtt_test: welch_t_test(&rtt_pre, &rtt_war),
-        loss_ratio: mean(&loss_war) / mean(&loss_pre),
-        loss_test: welch_t_test(&loss_pre, &loss_war),
+        d_tput: (mean(&war.tput) - mean(&pre.tput)) / mean(&pre.tput),
+        tput_test: welch_t_test(&pre.tput, &war.tput),
+        d_rtt: (mean(&war.rtt) - mean(&pre.rtt)) / mean(&pre.rtt),
+        rtt_test: welch_t_test(&pre.rtt, &war.rtt),
+        loss_ratio: mean(&war.loss) / mean(&pre.loss),
+        loss_test: welch_t_test(&pre.loss, &war.loss),
     }
 }
 
 /// Computes the table. `n` is 10 in the paper.
 pub fn compute(data: &StudyData, n: usize) -> Result<AsTable, AnalysisError> {
+    compute_with_samples(data, n).map(|(table, _)| table)
+}
+
+/// [`compute`], also handing back each row's (prewar, wartime) 2022
+/// samples, indexed like `rows`, so Tables 5/6 need no second scan.
+pub(crate) fn compute_with_samples(
+    data: &StudyData,
+    n: usize,
+) -> Result<(AsTable, Vec<(MetricSamples, MetricSamples)>), AnalysisError> {
     let mut cov = Coverage::new();
     let top = top_ases(data, n);
     if top.len() < n {
         cov.note_sample(format!("top-{n} ranking ({} found)", top.len()), top.len());
     }
-    let rows: Vec<AsChangeRow> = top.iter().map(|&asn| change_row(data, asn)).collect();
+    let samples: Vec<(MetricSamples, MetricSamples)> =
+        samples_through(data, Period::Prewar2022, &top)
+            .into_iter()
+            .zip(samples_through(data, Period::Wartime2022, &top))
+            .collect();
+    let rows: Vec<AsChangeRow> = top
+        .iter()
+        .zip(&samples)
+        .map(|(&asn, (pre, war))| change_row(data, asn, pre, war))
+        .collect();
     for r in &rows {
         cov.note_sample(format!("AS{}", r.asn.0), r.tests_prewar.min(r.tests_wartime));
     }
@@ -144,23 +174,16 @@ pub fn compute(data: &StudyData, n: usize) -> Result<AsTable, AnalysisError> {
     // baselines; the paper keeps the worst (most extreme) value per metric.
     let mut baseline =
         BaselineFluctuation { d_counts: 0.0, d_tput: 0.0, d_rtt: 0.0, loss_ratio: 1.0 };
-    let pre_map = tests_through(data, Period::BaselineJanFeb2021);
-    let war_map = tests_through(data, Period::BaselineFebApr2021);
-    for asn in &top {
-        let pre = pre_map.get(asn).cloned().unwrap_or_default();
-        let war = war_map.get(asn).cloned().unwrap_or_default();
+    let pre_2021 = samples_through(data, Period::BaselineJanFeb2021, &top);
+    let war_2021 = samples_through(data, Period::BaselineFebApr2021, &top);
+    for (pre, war) in pre_2021.iter().zip(&war_2021) {
         if pre.len() < 20 || war.len() < 20 {
             continue;
         }
-        let mean = |rows: &[&Scamper1Row], f: fn(&Scamper1Row) -> f64| {
-            rows.iter().map(|r| f(r)).sum::<f64>() / rows.len() as f64
-        };
         let dc = (war.len() as f64 - pre.len() as f64) / pre.len() as f64;
-        let dt = (mean(&war, |r| r.mean_tput_mbps) - mean(&pre, |r| r.mean_tput_mbps))
-            / mean(&pre, |r| r.mean_tput_mbps);
-        let dr = (mean(&war, |r| r.min_rtt_ms) - mean(&pre, |r| r.min_rtt_ms))
-            / mean(&pre, |r| r.min_rtt_ms);
-        let lr = mean(&war, |r| r.loss_rate) / mean(&pre, |r| r.loss_rate);
+        let dt = (mean(&war.tput) - mean(&pre.tput)) / mean(&pre.tput);
+        let dr = (mean(&war.rtt) - mean(&pre.rtt)) / mean(&pre.rtt);
+        let lr = mean(&war.loss) / mean(&pre.loss);
         if dc.abs() > baseline.d_counts.abs() {
             baseline.d_counts = dc;
         }
@@ -176,11 +199,12 @@ pub fn compute(data: &StudyData, n: usize) -> Result<AsTable, AnalysisError> {
     }
 
     // Top-10 share of all 2022 tests.
-    let total: usize = data.traces_in(Period::Prewar2022).count()
-        + data.traces_in(Period::Wartime2022).count();
+    let total =
+        data.traces_in(Period::Prewar2022).len() + data.traces_in(Period::Wartime2022).len();
     cov.see(total);
     let through_top: usize = rows.iter().map(|r| r.tests_prewar + r.tests_wartime).sum();
-    Ok(AsTable { rows, baseline, top10_share: through_top as f64 / total.max(1) as f64, coverage: cov })
+    let top10_share = through_top as f64 / total.max(1) as f64;
+    Ok((AsTable { rows, baseline, top10_share, coverage: cov }, samples))
 }
 
 impl StudyData {
@@ -331,6 +355,29 @@ mod tests {
             "top-10 share = {} (paper: 25.6%)",
             t.top10_share
         );
+    }
+
+    /// Whether no AS appears twice in any trace's path.
+    fn loop_free(data: &StudyData) -> bool {
+        data.raw.traces.iter().all(|r| {
+            let mut seen = r.as_path.clone();
+            seen.sort_unstable();
+            seen.windows(2).all(|w| w[0] != w[1])
+        })
+    }
+
+    #[test]
+    fn generated_as_paths_never_repeat_an_asn() {
+        // Table 3 counts a trace once per occurrence of the AS in its path
+        // and Tables 5/6 reuse those samples as "tests through the AS";
+        // the two readings agree only on loop-free paths. Topology paths
+        // are simple and fault truncation keeps a prefix.
+        assert!(loop_free(shared_medium()), "clean corpus has a looping as_path");
+        let faulted = StudyData::generate(ndt_mlab::SimConfig {
+            faults: ndt_mlab::FaultPlan::MODERATE,
+            ..ndt_mlab::SimConfig::small(4321)
+        });
+        assert!(loop_free(&faulted), "moderate-fault corpus has a looping as_path");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::error::AnalysisError;
 use crate::render::text_table;
 use crate::table3_as;
 use ndt_conflict::Period;
-use ndt_stats::{median, welch_t_test, Summary};
+use ndt_stats::{median, Summary};
 use ndt_topology::Asn;
 use serde::{Deserialize, Serialize};
 
@@ -55,43 +55,30 @@ pub struct AsDetail {
     pub coverage: Coverage,
 }
 
-/// Computes the appendix tables for the same top-`n` ASes as Table 3.
+/// Computes the appendix tables for the same top-`n` ASes as Table 3,
+/// summarizing the very samples Table 3's tests ran on.
 pub fn compute(data: &StudyData, n: usize) -> Result<AsDetail, AnalysisError> {
-    let table3 = table3_as::compute(data, n)?;
-    let mut cov = table3.coverage.clone();
+    let (table3, samples) = table3_as::compute_with_samples(data, n)?;
+    let mut cov = table3.coverage;
     let mut detail = Vec::new();
     let mut p_values = Vec::new();
-    for row in &table3.rows {
-        /// (throughputs, min RTTs, loss rates) of one period's tests.
-        type MetricSamples = (Vec<f64>, Vec<f64>, Vec<f64>);
-        let mut samples: std::collections::HashMap<Period, MetricSamples> = Default::default();
-        for period in [Period::Prewar2022, Period::Wartime2022] {
-            let (tput, rtt, loss) = samples.entry(period).or_default();
-            for r in data.traces_in(period).filter(|r| r.as_path.contains(&row.asn)) {
-                tput.push(r.mean_tput_mbps);
-                rtt.push(r.min_rtt_ms);
-                loss.push(r.loss_rate);
-            }
-        }
-        for period in [Period::Prewar2022, Period::Wartime2022] {
-            let (tput, rtt, loss) = &samples[&period];
-            cov.note_sample(format!("AS{}/{:?}", row.asn.0, period), tput.len());
+    for (row, (pre, war)) in table3.rows.iter().zip(&samples) {
+        for (period, s) in [(Period::Prewar2022, pre), (Period::Wartime2022, war)] {
+            cov.note_sample(format!("AS{}/{:?}", row.asn.0, period), s.tput.len());
             detail.push(AsPeriodDetail {
                 asn: row.asn,
                 period,
-                tput: Spread::of(tput),
-                min_rtt: Spread::of(rtt),
-                loss: Spread::of(loss),
-                count: tput.len(),
+                tput: Spread::of(&s.tput),
+                min_rtt: Spread::of(&s.rtt),
+                loss: Spread::of(&s.loss),
+                count: s.tput.len(),
             });
         }
-        let pre = &samples[&Period::Prewar2022];
-        let war = &samples[&Period::Wartime2022];
         p_values.push(AsPValues {
             asn: row.asn,
-            p_tput: welch_t_test(&pre.0, &war.0).p,
-            p_rtt: welch_t_test(&pre.1, &war.1).p,
-            p_loss: welch_t_test(&pre.2, &war.2).p,
+            p_tput: row.tput_test.p,
+            p_rtt: row.rtt_test.p,
+            p_loss: row.loss_test.p,
         });
     }
     Ok(AsDetail { detail, p_values, coverage: cov })
@@ -202,6 +189,26 @@ mod tests {
             let row = t3.row(p.asn).unwrap();
             assert_eq!(p.p_loss < 0.05, row.loss_test.significant(), "{}", p.asn);
             assert!((p.p_loss - row.loss_test.p).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn counts_are_table3_tests_and_tests_through_the_as() {
+        // Per period, Table 5's count, Table 3's test count and the
+        // number of traces whose path contains the AS all agree.
+        let data = shared_medium();
+        let d = detail();
+        let t3 = crate::table3_as::compute(data, 10).expect("clean corpus computes");
+        for row in &t3.rows {
+            for (period, tests) in
+                [(Period::Prewar2022, row.tests_prewar), (Period::Wartime2022, row.tests_wartime)]
+            {
+                let through =
+                    data.traces_in(period).iter().filter(|r| r.as_path.contains(&row.asn)).count();
+                let count = d.detail_of(row.asn, period).map(|x| x.count);
+                assert_eq!(count, Some(tests), "{} {period:?}", row.asn);
+                assert_eq!(through, tests, "{} {period:?}", row.asn);
+            }
         }
     }
 
