@@ -2,8 +2,9 @@
 //!
 //! The data-path convention across the workspace: operations whose failure
 //! depends on *data* (a missing column, a mistyped cell) return
-//! `Result<_, BqError>`; the panicking variants remain only as conveniences
-//! for tests and fixtures where the schema is statically known.
+//! `Result<_, BqError>`. Every `Query` operation does; `Table`'s panicking
+//! `push`/`column` variants remain only as conveniences for tests and
+//! fixtures where the schema is statically known.
 
 use crate::table::ColType;
 

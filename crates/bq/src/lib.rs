@@ -5,13 +5,13 @@
 //! Under Attack: an NDT Perspective"* (IMC '22).
 //!
 //! The paper's methodology reads two BigQuery tables —
-//! `ndt.unified_download` and `ndt.scamper1` — and reduces them with
-//! filters, group-bys and aggregates. This crate provides exactly that
-//! surface so the analysis code in `ndt-analysis` reads like the paper's
+//! `ndt.unified_download` and `ndt.scamper1` — and reduces them with a
+//! handful of filters and aggregates. This crate provides exactly that
+//! surface, so the analysis code in `ndt-analysis` reads like the paper's
 //! method section instead of ad-hoc loops:
 //!
 //! ```
-//! use ndt_bq::{ColType, Table, Value};
+//! use ndt_bq::{BqError, ColType, Table, Value};
 //!
 //! let mut t = Table::new("ndt.unified_download", &[
 //!     ("day", ColType::Int),
@@ -22,22 +22,23 @@
 //! t.push(vec![Value::Int(419), Value::from("L'viv"), Value::Float(37.2)]);
 //!
 //! let kyiv_mean = t.query()
-//!     .filter_eq("oblast", &Value::from("Kiev City"))
-//!     .mean("tput");
-//! assert!((kyiv_mean - 50.6).abs() < 1e-9);
+//!     .filter_eq("oblast", &Value::from("Kiev City"))?
+//!     .mean("tput")?;
+//! assert_eq!(kyiv_mean, Some(50.6));
+//! # Ok::<(), BqError>(())
 //! ```
 //!
 //! Tables are typed, columns are nullable, and queries are index sets over a
-//! base table — cheap to fork, group and intersect. Aggregates cover what
-//! the paper uses (count, sum, mean, median, std, min, max); anything more
-//! sophisticated (Welch's t-test, histograms) consumes extracted vectors via
-//! `ndt-stats`.
+//! base table — cheap to fork and narrow. A query filters (equality,
+//! integer range, not-null), extracts a column (`floats`, `finite_floats`,
+//! `ints`) and aggregates (`count`, `mean`, `median`); every operation that
+//! names a column returns `Result`. Anything more sophisticated (Welch's
+//! t-test, histograms) consumes the extracted vectors via `ndt-stats`.
 
 pub mod error;
 pub mod query;
 pub mod table;
 pub mod value;
-pub mod vectorized;
 
 pub use error::BqError;
 pub use query::Query;

@@ -1,21 +1,28 @@
 //! Property-based tests: the query algebra behaves like relational algebra,
-//! and the vectorized path is an exact refinement of it — code-level
-//! predicate evaluation matches decoded-string evaluation, and accumulator
-//! merges are shard-order invariant at the bit level.
+//! dictionary-code predicates select exactly what decoded-string
+//! predicates select, and the aggregates neither panic nor leak `NaN` on
+//! dirty columns.
 
-use ndt_bq::vectorized::{AggSpec, AggState, BatchCol, ColumnarQuery, RowBatch};
-use ndt_bq::{ColType, Column, Table, Value};
+use ndt_bq::{ColType, Table, Value};
 use proptest::prelude::*;
 
+/// A table with a unique `id` per row, so tests can compare selections
+/// by the rows they hold.
 fn arb_table() -> impl Strategy<Value = Table> {
     prop::collection::vec((0i64..5, 0u8..4, prop::option::of(-100.0..100.0f64)), 0..120).prop_map(
         |rows| {
             let mut t = Table::new(
                 "t",
-                &[("k", ColType::Int), ("g", ColType::Str), ("x", ColType::Float)],
+                &[
+                    ("id", ColType::Int),
+                    ("k", ColType::Int),
+                    ("g", ColType::Str),
+                    ("x", ColType::Float),
+                ],
             );
-            for (k, g, x) in rows {
+            for (id, (k, g, x)) in rows.into_iter().enumerate() {
                 t.push(vec![
+                    Value::Int(id as i64),
                     Value::Int(k),
                     Value::from(format!("g{g}")),
                     x.map(Value::Float).unwrap_or(Value::Null),
@@ -27,28 +34,12 @@ fn arb_table() -> impl Strategy<Value = Table> {
 }
 
 proptest! {
-    /// Group-by partitions the selection: group sizes sum to the total and
-    /// every row lands in exactly one group.
-    #[test]
-    fn group_by_partitions(t in arb_table()) {
-        let q = t.query();
-        let groups = q.group_by("g");
-        let total: usize = groups.iter().map(|(_, g)| g.count()).sum();
-        prop_assert_eq!(total, q.count());
-        let mut seen = std::collections::HashSet::new();
-        for (_, g) in &groups {
-            for &i in g.indices() {
-                prop_assert!(seen.insert(i), "row {i} in two groups");
-            }
-        }
-    }
-
     /// Filtering is idempotent and anti-monotone in selectivity.
     #[test]
     fn filter_idempotent(t in arb_table(), lo in 0i64..5) {
-        let once = t.query().filter_int_range("k", lo, 5);
-        let twice = t.query().filter_int_range("k", lo, 5).filter_int_range("k", lo, 5);
-        prop_assert_eq!(once.indices(), twice.indices());
+        let once = t.query().filter_int_range("k", lo, 5).unwrap();
+        let twice = once.clone().filter_int_range("k", lo, 5).unwrap();
+        prop_assert_eq!(once.ints("id").unwrap(), twice.ints("id").unwrap());
         prop_assert!(once.count() <= t.len());
     }
 
@@ -56,43 +47,24 @@ proptest! {
     #[test]
     fn filters_commute(t in arb_table(), lo in 0i64..5, g in 0u8..4) {
         let gv = Value::from(format!("g{g}"));
-        let a = t.query().filter_int_range("k", lo, 5).filter_eq("g", &gv);
-        let b = t.query().filter_eq("g", &gv).filter_int_range("k", lo, 5);
-        prop_assert_eq!(a.indices(), b.indices());
-    }
-
-    /// Sum distributes over the groups of any partition.
-    #[test]
-    fn sum_distributes_over_groups(t in arb_table()) {
-        let q = t.query();
-        let total = q.sum("x");
-        let by_group: f64 = q.group_by("g").iter().map(|(_, g)| g.sum("x")).sum();
-        prop_assert!((total - by_group).abs() < 1e-6 * (1.0 + total.abs()));
+        let a = t.query().filter_int_range("k", lo, 5).unwrap().filter_eq("g", &gv).unwrap();
+        let b = t.query().filter_eq("g", &gv).unwrap().filter_int_range("k", lo, 5).unwrap();
+        prop_assert_eq!(a.ints("id").unwrap(), b.ints("id").unwrap());
     }
 
     /// Aggregates stay within the data's bounds.
     #[test]
     fn aggregate_bounds(t in arb_table()) {
         let q = t.query();
-        let xs = q.floats("x");
+        let xs = q.floats("x").unwrap();
         if !xs.is_empty() {
             let mn = xs.iter().cloned().fold(f64::INFINITY, f64::min);
             let mx = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(q.mean("x") >= mn - 1e-9 && q.mean("x") <= mx + 1e-9);
-            prop_assert!(q.median("x") >= mn - 1e-9 && q.median("x") <= mx + 1e-9);
-            prop_assert_eq!(q.min("x"), mn);
-            prop_assert_eq!(q.max("x"), mx);
+            let mean = q.mean("x").unwrap().expect("non-empty");
+            let median = q.median("x").unwrap().expect("non-empty");
+            prop_assert!(mean >= mn - 1e-9 && mean <= mx + 1e-9);
+            prop_assert!(median >= mn - 1e-9 && median <= mx + 1e-9);
         }
-    }
-
-    /// `top_groups_by_count` returns groups in non-increasing size order and
-    /// never more than requested.
-    #[test]
-    fn top_groups_ordered(t in arb_table(), n in 0usize..6) {
-        let q = t.query();
-        let top = q.top_groups_by_count("g", n);
-        prop_assert!(top.len() <= n);
-        prop_assert!(top.windows(2).all(|w| w[0].1.count() >= w[1].1.count()));
     }
 }
 
@@ -117,69 +89,46 @@ fn arb_dirty_table() -> impl Strategy<Value = Table> {
 }
 
 proptest! {
-    /// The fallible aggregates never panic and never leak NaN: on empty,
-    /// all-null or corrupt-bearing columns they return a typed empty
-    /// (`Ok(None)`) or a finite value — never `Err`, never a poisoned
-    /// number.
+    /// The aggregates never panic and never leak NaN: on empty, all-null
+    /// or corrupt-bearing columns they return a typed empty (`Ok(None)`)
+    /// or a finite value — never `Err`, never a poisoned number.
     #[test]
-    fn try_aggregates_are_panic_free_and_nan_free(t in arb_dirty_table()) {
+    fn aggregates_are_panic_free_and_nan_free(t in arb_dirty_table()) {
         let q = t.query();
         let (finite, dropped) = q.finite_floats("x").unwrap();
-        let non_null = q.try_floats("x").unwrap().len();
+        let non_null = q.floats("x").unwrap().len();
         prop_assert_eq!(finite.len() + dropped, non_null, "finite/dropped split loses rows");
         prop_assert!(finite.iter().all(|v| v.is_finite()));
 
-        for (val, needs) in [
-            (q.try_mean("x").unwrap(), 1),
-            (q.try_median("x").unwrap(), 1),
-            (q.try_std_dev("x").unwrap(), 2),
-            (q.try_min("x").unwrap(), 1),
-            (q.try_max("x").unwrap(), 1),
-        ] {
-            if finite.len() >= needs {
-                let v = val.expect("enough finite values for an aggregate");
-                prop_assert!(v.is_finite(), "aggregate leaked non-finite {v}");
-            } else {
+        for val in [q.mean("x").unwrap(), q.median("x").unwrap()] {
+            if finite.is_empty() {
                 prop_assert!(val.is_none(), "typed empty expected, got {val:?}");
+            } else {
+                let v = val.expect("finite values present for an aggregate");
+                prop_assert!(v.is_finite(), "aggregate leaked non-finite {v}");
             }
         }
-        let s = q.try_sum("x").unwrap();
-        prop_assert!(s.is_finite(), "sum leaked non-finite {s}");
     }
 
-    /// Schema drift is an error value, not a panic: every fallible entry
-    /// point rejects an unknown column with `Err`.
+    /// Schema drift is an error value, not a panic: every entry point that
+    /// names a column rejects an unknown one with `Err`.
     #[test]
     fn unknown_columns_error_instead_of_panicking(t in arb_dirty_table()) {
         let q = t.query();
-        prop_assert!(q.try_floats("nope").is_err());
+        prop_assert!(q.floats("nope").is_err());
         prop_assert!(q.finite_floats("nope").is_err());
-        prop_assert!(q.try_mean("nope").is_err());
-        prop_assert!(q.try_median("nope").is_err());
-        prop_assert!(q.try_std_dev("nope").is_err());
-        prop_assert!(q.try_min("nope").is_err());
-        prop_assert!(q.try_max("nope").is_err());
-        prop_assert!(q.try_sum("nope").is_err());
+        prop_assert!(q.ints("nope").is_err());
+        prop_assert!(q.mean("nope").is_err());
+        prop_assert!(q.median("nope").is_err());
         prop_assert!(t.try_col_index("nope").is_err());
-        prop_assert!(t.query().try_filter_not_null("nope").is_err());
-    }
-
-    /// The infallible aggregates tolerate dirty columns too (`total_cmp`
-    /// sorting): they may return NaN but must not panic.
-    #[test]
-    fn legacy_aggregates_do_not_panic_on_dirty_columns(t in arb_dirty_table()) {
-        let q = t.query();
-        let _ = q.mean("x");
-        let _ = q.median("x");
-        let _ = q.std_dev("x");
-        let _ = q.min("x");
-        let _ = q.max("x");
-        let _ = q.sum("x");
+        prop_assert!(t.query().filter_not_null("nope").is_err());
+        prop_assert!(t.query().filter_eq("nope", &Value::Null).is_err());
+        prop_assert!(t.query().filter_int_range("nope", 0, 1).is_err());
     }
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized path: dict-code evaluation ≡ decoded-string evaluation
+// Dictionary-encoded columns: code evaluation ≡ decoded-string evaluation
 // ---------------------------------------------------------------------------
 
 /// Small closed vocabulary so generated columns hit repeated values,
@@ -193,6 +142,7 @@ fn word_rows() -> impl Strategy<Value = Vec<Option<usize>>> {
 }
 
 /// Builds a plain-Str table and its dict-encoded twin from the same rows.
+/// Each row's `v` is unique, so `floats("v")` identifies a selection.
 fn twin_tables(rows: &[Option<usize>]) -> (Table, Table) {
     let mut plain = Table::new("t", &[("s", ColType::Str), ("v", ColType::Float)]);
     let mut dict = Table::new("t", &[("s", ColType::Str), ("v", ColType::Float)]);
@@ -208,8 +158,8 @@ fn twin_tables(rows: &[Option<usize>]) -> (Table, Table) {
 
 proptest! {
     /// Dict-encoded tables are logically equal to their plain twins and
-    /// answer filter/group/distinct queries identically — including the
-    /// all-null column (empty dictionary) and absent-needle cases.
+    /// answer filter queries identically — including the all-null column
+    /// (empty dictionary) and absent-needle cases.
     #[test]
     fn dict_table_query_equivalence(
         rows in word_rows(),
@@ -219,122 +169,17 @@ proptest! {
         prop_assert_eq!(&plain, &dict);
 
         let needle = Value::from(NEEDLES[needle]);
-        let p = plain.query().filter_eq("s", &needle);
-        let d = dict.query().filter_eq("s", &needle);
-        prop_assert_eq!(p.indices(), d.indices());
-        prop_assert_eq!(p.floats("v"), d.floats("v"));
+        let p = plain.query().filter_eq("s", &needle).unwrap();
+        let d = dict.query().filter_eq("s", &needle).unwrap();
+        prop_assert_eq!(p.count(), d.count());
+        prop_assert_eq!(p.floats("v").unwrap(), d.floats("v").unwrap());
 
         // Null needles never match on either representation.
-        prop_assert_eq!(plain.query().filter_eq("s", &Value::Null).count(), 0);
-        prop_assert_eq!(dict.query().filter_eq("s", &Value::Null).count(), 0);
+        prop_assert_eq!(plain.query().filter_eq("s", &Value::Null).unwrap().count(), 0);
+        prop_assert_eq!(dict.query().filter_eq("s", &Value::Null).unwrap().count(), 0);
 
-        let pg = plain.query().group_by("s");
-        let dg = dict.query().group_by("s");
-        prop_assert_eq!(pg.len(), dg.len());
-        for ((pk, pq), (dk, dq)) in pg.iter().zip(dg.iter()) {
-            prop_assert_eq!(pk, dk);
-            prop_assert_eq!(pq.indices(), dq.indices());
-        }
-        prop_assert_eq!(plain.query().distinct("s"), dict.query().distinct("s"));
-    }
-
-    /// The streaming plan over dictionary batches selects exactly the rows
-    /// the decoded-string batch selects, whatever the batch split.
-    #[test]
-    fn code_filter_equals_string_filter(
-        rows in word_rows(),
-        needle in 0usize..NEEDLES.len(),
-        split in 0usize..41,
-    ) {
-        let (plain, dict) = twin_tables(&rows);
-        let plan = ColumnarQuery::new()
-            .filter_str_eq("s", NEEDLES[needle])
-            .agg("v", AggSpec::Count)
-            .agg("v", AggSpec::Sum);
-
-        // Reference: decoded strings, one batch.
-        let mut st_ref = plan.start();
-        plan.feed(&mut st_ref, &RowBatch::from_table(&plain)).expect("feed plain");
-
-        // Candidate: dictionary codes, split into two batches at an
-        // arbitrary boundary (exercises per-batch needle resolution).
-        let mut st = plan.start();
-        let cut = split.min(rows.len());
-        let (Column::Dict(d), Column::Float(v)) = (dict.column("s"), dict.column("v"))
-        else { panic!("twin schema") };
-        for (lo, hi) in [(0, cut), (cut, rows.len())] {
-            let b = RowBatch::new(hi - lo)
-                .with("s", BatchCol::Dict { dict: d.dict(), codes: &d.codes()[lo..hi] })
-                .with("v", BatchCol::Float(&v[lo..hi]));
-            plan.feed(&mut st, &b).expect("feed dict");
-        }
-
-        prop_assert_eq!(st.rows_matched(), st_ref.rows_matched());
-        let (got, want) = (st.finish(), st_ref.finish());
-        prop_assert_eq!(got.len(), want.len());
-        for ((_, ga), (_, wa)) in got.iter().zip(&want) {
-            prop_assert_eq!(ga[0].to_bits(), wa[0].to_bits());
-            prop_assert_eq!(ga[1].to_bits(), wa[1].to_bits());
-        }
-    }
-
-    /// Merging per-shard accumulators is associative at the bit level:
-    /// left fold, right fold and a reversed fold over the same shards all
-    /// finish identically to a sequential scan. Values include NaN, -0.0
-    /// and magnitude spreads that defeat naive summation.
-    #[test]
-    fn accumulator_merge_is_shard_order_invariant(
-        raw in prop::collection::vec((0u8..6, -1.0e12f64..1.0e12), 1..60),
-        cuts in (1usize..20, 1usize..20),
-        which in 0usize..5,
-    ) {
-        let vals: Vec<f64> = raw
-            .iter()
-            .map(|&(kind, v)| match kind {
-                0 => f64::NAN,
-                1 => -0.0,
-                2 => 1.0e16,
-                3 => -1.0e16,
-                4 => v * 1.0e-10,
-                _ => v,
-            })
-            .collect();
-        let spec = [
-            AggSpec::Sum,
-            AggSpec::Mean,
-            AggSpec::Min,
-            AggSpec::Max,
-            AggSpec::Percentile(0.5),
-        ][which];
-
-        // Split into three shards at arbitrary boundaries.
-        let (a, b) = (cuts.0.min(vals.len()), cuts.1.min(vals.len()));
-        let (lo, hi) = (a.min(b), a.max(b));
-        let shards = [&vals[..lo], &vals[lo..hi], &vals[hi..]];
-        let state = |s: &[f64]| {
-            let mut acc = AggState::new(spec);
-            for &v in s {
-                acc.push(Some(v));
-            }
-            acc
-        };
-
-        let mut left = state(shards[0]);
-        left.merge(state(shards[1]));
-        left.merge(state(shards[2]));
-
-        let mut right_tail = state(shards[1]);
-        right_tail.merge(state(shards[2]));
-        let mut right = state(shards[0]);
-        right.merge(right_tail);
-
-        let mut rev = state(shards[2]);
-        rev.merge(state(shards[1]));
-        rev.merge(state(shards[0]));
-
-        let sequential = state(&vals);
-        prop_assert_eq!(left.finish().to_bits(), sequential.finish().to_bits());
-        prop_assert_eq!(right.finish().to_bits(), sequential.finish().to_bits());
-        prop_assert_eq!(rev.finish().to_bits(), sequential.finish().to_bits());
+        let p = plain.query().filter_not_null("s").unwrap();
+        let d = dict.query().filter_not_null("s").unwrap();
+        prop_assert_eq!(p.floats("v").unwrap(), d.floats("v").unwrap());
     }
 }

@@ -12,6 +12,7 @@
 //! so a digest written by `generate --format columnar` and re-read by
 //! `report --from-store` reproduces the table byte-for-byte.
 
+use crate::coverage::{mean_or_nan, metric_samples, Coverage};
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
 use ndt_conflict::Period;
@@ -25,11 +26,13 @@ pub struct PeriodStats {
     pub period: Period,
     /// Unified rows in the period.
     pub tests: u64,
-    /// Mean download throughput (Mbps); NaN when the period is empty.
+    /// Mean download throughput (Mbps) over usable cells; NaN when the
+    /// period has none.
     pub mean_tput: f64,
-    /// Mean minimum RTT (ms); NaN when the period is empty.
+    /// Mean minimum RTT (ms) over usable cells; NaN when the period has
+    /// none.
     pub mean_rtt: f64,
-    /// Mean loss rate; NaN when the period is empty.
+    /// Mean loss rate over usable cells; NaN when the period has none.
     pub mean_loss: f64,
 }
 
@@ -44,22 +47,28 @@ pub struct CountryDigest {
 const DIGEST_MAGIC: &str = "country-digest v1";
 
 impl CountryDigest {
-    /// Digests a corpus: per-period test counts and metric means.
-    pub fn from_study(name: &str, data: &StudyData) -> Self {
-        let periods = Period::ALL
-            .iter()
-            .map(|&p| {
-                let q = data.period(p);
-                PeriodStats {
-                    period: p,
-                    tests: q.count() as u64,
-                    mean_tput: q.mean("tput"),
-                    mean_rtt: q.mean("min_rtt"),
-                    mean_loss: q.mean("loss"),
-                }
-            })
-            .collect();
-        Self { name: name.to_string(), periods }
+    /// Digests a corpus: per-period test counts and metric means. The
+    /// means drop unusable cells by the rule every §4 analysis uses
+    /// ([`metric_samples`]: non-finite values, and negative ones for these
+    /// non-negative metrics), so a corrupt row never turns a cell `NaN`.
+    pub fn from_study(name: &str, data: &StudyData) -> Result<Self, AnalysisError> {
+        // The digest renders no coverage footer; drops are discarded.
+        let mut cov = Coverage::new();
+        let mut mean = |q: &ndt_bq::Query<'_>, col: &str| {
+            metric_samples(q, col, true, &mut cov).map(|v| mean_or_nan(&v))
+        };
+        let mut periods = Vec::with_capacity(Period::ALL.len());
+        for p in Period::ALL {
+            let q = data.period(p)?;
+            periods.push(PeriodStats {
+                period: p,
+                tests: q.count() as u64,
+                mean_tput: mean(&q, "tput")?,
+                mean_rtt: mean(&q, "min_rtt")?,
+                mean_loss: mean(&q, "loss")?,
+            });
+        }
+        Ok(Self { name: name.to_string(), periods })
     }
 
     /// Text form: a magic line, the country name, then one line per
@@ -179,7 +188,7 @@ pub fn table_ab(data: &StudyData) -> Result<String, AnalysisError> {
     let b = data.second_country.as_ref().ok_or_else(|| AnalysisError::Degenerate {
         what: "table_ab needs a second-country digest (asymmetric scenarios only)".to_string(),
     })?;
-    let a = CountryDigest::from_study("ukraine", data);
+    let a = CountryDigest::from_study("ukraine", data)?;
     Ok(render_comparison(&[&a, b]))
 }
 
@@ -204,7 +213,7 @@ pub fn second_country_digest(cfg: &SimConfig) -> Result<Option<CountryDigest>, A
         ..*cfg
     };
     let data = StudyData::generate(bcfg);
-    Ok(Some(CountryDigest::from_study(&cs.name, &data)))
+    Ok(Some(CountryDigest::from_study(&cs.name, &data)?))
 }
 
 #[cfg(test)]
@@ -214,7 +223,7 @@ mod tests {
 
     #[test]
     fn digest_text_roundtrips_bit_exactly() {
-        let d = CountryDigest::from_study("ukraine", shared_small());
+        let d = CountryDigest::from_study("ukraine", shared_small()).expect("digests");
         let back = CountryDigest::parse(&d.to_text()).expect("parses");
         assert_eq!(d, back);
         assert_eq!(d.to_text(), back.to_text());
@@ -255,5 +264,37 @@ mod tests {
         assert!(t.contains("ukraine"));
         assert!(t.contains("country-b"));
         assert!(t.contains("wartime"));
+    }
+
+    #[test]
+    fn table_ab_stays_finite_under_corrupt_row_faults() {
+        // MODERATE corrupts rows with NaN cells and sign-flipped
+        // throughput; the digest means must skip them, not average them.
+        let cfg = SimConfig {
+            scenario: Scenario::ASYMMETRIC,
+            faults: ndt_mlab::FaultPlan::MODERATE,
+            ..SimConfig::small(77)
+        };
+        let mut data = StudyData::generate(cfg);
+        data.second_country = second_country_digest(&cfg).expect("computes");
+        let a = CountryDigest::from_study("ukraine", &data).expect("digests");
+        for d in [&a, data.second_country.as_ref().expect("present")] {
+            for p in [Period::Prewar2022, Period::Wartime2022] {
+                let s = d.stats(p);
+                assert!(s.tests > 0, "{} {p:?} has rows", d.name);
+                let means = [("tput", s.mean_tput), ("rtt", s.mean_rtt), ("loss", s.mean_loss)];
+                for (what, v) in means {
+                    assert!(v.is_finite() && v >= 0.0, "{} {p:?} mean {what} = {v}", d.name);
+                }
+            }
+        }
+        let t = table_ab(&data).expect("renders");
+        assert!(!t.contains("NaN"), "{t}");
+        let wartime: Vec<&str> = t.lines().filter(|l| l.contains("wartime")).collect();
+        assert_eq!(wartime.len(), 2, "{t}");
+        for line in wartime {
+            let ratios: Vec<&str> = line.split_whitespace().rev().take(3).collect();
+            assert!(ratios.iter().all(|r| r.ends_with('x')), "ratio cell missing: {line}");
+        }
     }
 }

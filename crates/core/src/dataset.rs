@@ -1,6 +1,6 @@
 //! Dataset wrapper: the two "BigQuery tables" plus period helpers.
 
-use ndt_bq::{Query, Table, Value};
+use ndt_bq::{BqError, Column, Query, Table, Value};
 use ndt_conflict::Period;
 use ndt_mlab::schema::{empty_unified_table, push_unified_row};
 use ndt_mlab::{Dataset, Scamper1Row, SimConfig, Simulator, UnifiedDownloadRow};
@@ -34,28 +34,36 @@ pub struct StudyData {
 /// Day ranges of each [`Period`] window that hold no unified rows, for
 /// windows that hold at least one. See [`StudyData::day_gaps`].
 fn compute_day_gaps(unified: &Table) -> Vec<(i64, i64)> {
-    let days: std::collections::BTreeSet<i64> = unified.query().ints("day").into_iter().collect();
-    compute_day_gaps_from(&days)
-}
-
-/// [`compute_day_gaps`] over an already-collected distinct-day set (the
-/// vectorized store loader aggregates days page-by-page instead of
-/// re-scanning the finished table).
-fn compute_day_gaps_from(days: &std::collections::BTreeSet<i64>) -> Vec<(i64, i64)> {
+    // One pass over the `day` column marks the study-window days that
+    // hold rows. `day` is an Int column of the fixed unified schema
+    // (`empty_unified_table`), so any other shape marks no day.
+    let (lo, hi) = Period::ALL
+        .iter()
+        .map(Period::day_range)
+        .fold((i64::MAX, i64::MIN), |(lo, hi), (s, e)| (lo.min(s), hi.max(e)));
+    let mut present = vec![false; usize::try_from(hi - lo).unwrap_or(0)];
+    if let Ok(Column::Int(days)) = unified.try_column("day") {
+        for &d in days.iter().flatten() {
+            if (lo..hi).contains(&d) {
+                present[(d - lo) as usize] = true;
+            }
+        }
+    }
+    let has = |d: i64| present[(d - lo) as usize];
     let mut gaps = Vec::new();
     for p in Period::ALL {
         let (s, e) = p.day_range();
-        if !(s..e).any(|d| days.contains(&d)) {
+        if !(s..e).any(has) {
             continue;
         }
         let mut d = s;
         while d < e {
-            if days.contains(&d) {
+            if has(d) {
                 d += 1;
                 continue;
             }
             let lo = d;
-            while d < e && !days.contains(&d) {
+            while d < e && !has(d) {
                 d += 1;
             }
             gaps.push((lo, d - 1));
@@ -91,19 +99,19 @@ impl StudyData {
     }
 
     /// Unified rows within a period.
-    pub fn period(&self, p: Period) -> Query<'_> {
+    pub fn period(&self, p: Period) -> Result<Query<'_>, BqError> {
         let (s, e) = p.day_range();
         self.unified.query().filter_int_range("day", s, e)
     }
 
     /// Unified rows of one labeled city within a period (Table 1's slices).
-    pub fn city_period(&self, city: &str, p: Period) -> Query<'_> {
-        self.period(p).filter_eq("city", &Value::from(city))
+    pub fn city_period(&self, city: &str, p: Period) -> Result<Query<'_>, BqError> {
+        self.period(p)?.filter_eq("city", &Value::from(city))
     }
 
     /// Unified rows of one labeled region within a period.
-    pub fn oblast_period(&self, oblast: &str, p: Period) -> Query<'_> {
-        self.period(p).filter_eq("oblast", &Value::from(oblast))
+    pub fn oblast_period(&self, oblast: &str, p: Period) -> Result<Query<'_>, BqError> {
+        self.period(p)?.filter_eq("oblast", &Value::from(oblast))
     }
 
     /// Scamper rows within a period, in corpus order.
@@ -223,17 +231,6 @@ impl StudyDataBuilder {
         let day_gaps = compute_day_gaps(&unified);
         StudyData { raw: day_ordered(self.raw), unified, day_gaps, second_country: None }
     }
-
-    /// [`Self::finish`] with the distinct-day set already in hand (the
-    /// vectorized loader folds it out of a page-fed day aggregation, so
-    /// the finished table never needs a full `day` re-scan). The set must
-    /// cover exactly the ingested rows' days — gap computation is the
-    /// same rule either way.
-    pub fn finish_with_days(self, days: &std::collections::BTreeSet<i64>) -> StudyData {
-        let unified = self.unified.unwrap_or_else(empty_unified_table);
-        let day_gaps = compute_day_gaps_from(days);
-        StudyData { raw: day_ordered(self.raw), unified, day_gaps, second_country: None }
-    }
 }
 
 #[cfg(test)]
@@ -244,15 +241,16 @@ mod tests {
     #[test]
     fn periods_partition_unified_rows() {
         let data = shared_small();
-        let total: usize = Period::ALL.iter().map(|p| data.period(*p).count()).sum();
+        let total: usize =
+            Period::ALL.iter().map(|p| data.period(*p).expect("period").count()).sum();
         assert_eq!(total, data.unified_len(), "every row belongs to exactly one period");
     }
 
     #[test]
     fn city_slices_are_subsets() {
         let data = shared_small();
-        let kyiv = data.city_period("Kyiv", Period::Prewar2022).count();
-        let all = data.period(Period::Prewar2022).count();
+        let kyiv = data.city_period("Kyiv", Period::Prewar2022).expect("city slice").count();
+        let all = data.period(Period::Prewar2022).expect("period").count();
         assert!(kyiv > 0 && kyiv < all);
     }
 

@@ -89,12 +89,12 @@ pub fn compute(data: &StudyData) -> Result<Robustness, AnalysisError> {
     for city in KEY_CITIES {
         push(
             city,
-            data.city_period(city, Period::Prewar2022),
-            data.city_period(city, Period::Wartime2022),
+            data.city_period(city, Period::Prewar2022)?,
+            data.city_period(city, Period::Wartime2022)?,
             &mut cov,
         )?;
     }
-    push("National", data.period(Period::Prewar2022), data.period(Period::Wartime2022), &mut cov)?;
+    push("National", data.period(Period::Prewar2022)?, data.period(Period::Wartime2022)?, &mut cov)?;
     Ok(Robustness { rows, coverage: cov })
 }
 

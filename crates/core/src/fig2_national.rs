@@ -63,14 +63,14 @@ fn year_series(
 ) -> Result<YearSeries, AnalysisError> {
     let start = Date::new(year, 1, 1).day_index();
     let end = start + 108;
-    let q = data.unified.query().filter_int_range("day", start, end);
+    let q = data.unified.query().filter_int_range("day", start, end)?;
     let mut rtt = DailySeries::new();
     let mut tput = DailySeries::new();
     let mut loss = DailySeries::new();
-    let days_col = q.try_ints("day")?;
-    let rtt_col = q.try_floats("min_rtt")?;
-    let tput_col = q.try_floats("tput")?;
-    let loss_col = q.try_floats("loss")?;
+    let days_col = q.ints("day")?;
+    let rtt_col = q.floats("min_rtt")?;
+    let tput_col = q.floats("tput")?;
+    let loss_col = q.floats("loss")?;
     cov.see(days_col.len());
     let mut counts: std::collections::BTreeMap<i64, usize> = Default::default();
     for (((d, r), t), l) in days_col.iter().zip(&rtt_col).zip(&tput_col).zip(&loss_col) {

@@ -32,10 +32,10 @@ pub fn compute(data: &StudyData) -> Result<CityCounts, AnalysisError> {
         let q = data
             .unified
             .query()
-            .try_filter_int_range("day", start, end)?
-            .try_filter_eq("city", &Value::from(city))?;
+            .filter_int_range("day", start, end)?
+            .filter_eq("city", &Value::from(city))?;
         let mut counts: BTreeMap<i64, usize> = (start..end).map(|d| (d, 0)).collect();
-        let days = q.try_ints("day")?;
+        let days = q.ints("day")?;
         cov.see(days.len());
         cov.note_sample(city, days.len());
         for d in days {

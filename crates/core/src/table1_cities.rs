@@ -80,18 +80,18 @@ pub fn compute(data: &StudyData) -> Result<CityTable, AnalysisError> {
     let mut cov = Coverage::new();
     let mut rows = Vec::new();
     for p in [Period::Prewar2022, Period::Wartime2022] {
-        let all = data.period(p);
+        let all = data.period(p)?;
         cov.see(all.count());
-        let unlocated = all.count() - all.try_filter_not_null("city")?.count();
+        let unlocated = all.count() - all.filter_not_null("city")?.count();
         cov.drop_rows(DropReason::Unlocated, unlocated);
     }
     for city in KEY_CITIES {
-        let pre = data.city_period(city, Period::Prewar2022);
-        let war = data.city_period(city, Period::Wartime2022);
+        let pre = data.city_period(city, Period::Prewar2022)?;
+        let war = data.city_period(city, Period::Wartime2022)?;
         rows.push(row_from_queries(city, &pre, &war, &mut cov)?);
     }
-    let pre = data.period(Period::Prewar2022);
-    let war = data.period(Period::Wartime2022);
+    let pre = data.period(Period::Prewar2022)?;
+    let war = data.period(Period::Wartime2022)?;
     rows.push(row_from_queries("National", &pre, &war, &mut cov)?);
     Ok(CityTable { rows, coverage: cov })
 }

@@ -39,13 +39,13 @@ pub struct OblastTable {
 pub fn compute(data: &StudyData) -> Result<OblastTable, AnalysisError> {
     let mut cov = Coverage::new();
     for p in [Period::Prewar2022, Period::Wartime2022] {
-        let all = data.period(p);
+        let all = data.period(p)?;
         cov.see(all.count());
-        let unlocated = all.count() - all.try_filter_not_null("oblast")?.count();
+        let unlocated = all.count() - all.filter_not_null("oblast")?.count();
         cov.drop_rows(DropReason::Unlocated, unlocated);
     }
     let cell = |oblast: Oblast, p: Period, tag: &str, cov: &mut Coverage| -> Result<OblastCell, AnalysisError> {
-        let q = data.oblast_period(oblast.name(), p);
+        let q = data.oblast_period(oblast.name(), p)?;
         let tput = metric_samples(&q, "tput", true, cov)?;
         let rtt = metric_samples(&q, "min_rtt", true, cov)?;
         let loss = metric_samples(&q, "loss", true, cov)?;

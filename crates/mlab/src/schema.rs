@@ -155,7 +155,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.value(0, "oblast"), Value::from("Kiev City"));
         assert!(t.value(1, "oblast").is_null());
-        assert_eq!(t.query().filter_not_null("oblast").count(), 1);
-        assert!((t.query().mean("tput") - 40.0).abs() < 1e-12);
+        assert_eq!(t.query().filter_not_null("oblast").expect("oblast column").count(), 1);
+        assert_eq!(t.query().mean("tput").expect("tput column"), Some(40.0));
     }
 }

@@ -32,8 +32,6 @@ use std::sync::Arc;
 use std::thread;
 
 use ndt_analysis::{assemble_staged_report, CountryDigest, StudyDataBuilder};
-use ndt_bq::vectorized::{BatchCol, ColumnarQuery, RowBatch};
-use ndt_bq::Value;
 use ndt_mlab::columnar::{
     publish_scan_stats, scan_traces, scan_unified, scan_unified_batches, write_traces,
     write_unified, RowFilter, UnifiedBatch,
@@ -817,13 +815,6 @@ fn load_vectorized(
     let resident = AtomicU64::new(0);
     let scan_us = AtomicU64::new(0);
 
-    // Day aggregation runs alongside ingestion: one `ColumnarQuery`
-    // group-by over the dense day column of every ingested batch. The
-    // finished group set *is* the distinct-day set the gap computation
-    // needs, held at O(days) — no post-hoc table scan.
-    let day_query = ColumnarQuery::new().group_by("day");
-    let mut day_groups = day_query.start();
-
     let mut builder = StudyDataBuilder::new();
     let mut records = Vec::new();
 
@@ -844,7 +835,6 @@ fn load_vectorized(
         // Coordinator: drain pair channels in manifest order.
         for (j, stem) in stems.iter().enumerate() {
             let mark = builder.mark();
-            let mut day_state = day_query.start();
             let mut outcome: Option<io::Result<(ScanStats, ScanStats)>> = None;
             let mut ingest_err: Option<io::Error> = None;
             while outcome.is_none() {
@@ -852,12 +842,7 @@ fn load_vectorized(
                     Ok(PairMsg::Unified(b)) => {
                         if ingest_err.is_none() {
                             let t0 = std::time::Instant::now();
-                            let ingest = RowBatch::new(b.rows())
-                                .with("day", BatchCol::IntDense(&b.day));
-                            let r = day_query
-                                .feed(&mut day_state, &ingest)
-                                .map_err(|e| io::Error::other(e.to_string()))
-                                .and_then(|()| builder.push_unified_batch(&b));
+                            let r = builder.push_unified_batch(&b);
                             metrics.ingest_us += t0.elapsed().as_micros() as u64;
                             if let Err(e) = r {
                                 ingest_err = Some(e);
@@ -889,7 +874,6 @@ fn load_vectorized(
                     publish_scan_stats(&tstats);
                     metrics.unified_rows += ustats.rows_emitted;
                     metrics.rows_total += ustats.rows_emitted + tstats.rows_emitted;
-                    day_groups.merge(day_state);
                 }
                 Err(e) => {
                     builder.rollback(mark);
@@ -900,16 +884,7 @@ fn load_vectorized(
     });
 
     metrics.scan_us += scan_us.load(Ordering::Relaxed);
-    ndt_obs::set_process_max("store.peak_group_count", day_groups.peak_groups() as u64);
-    let days: std::collections::BTreeSet<i64> = day_groups
-        .finish()
-        .into_iter()
-        .filter_map(|(key, _)| match key {
-            Value::Int(d) => Some(d),
-            _ => None,
-        })
-        .collect();
-    Ok((builder.finish_with_days(&days), records))
+    Ok((builder.finish(), records))
 }
 
 /// The `report --from-store` command: stream the corpus from a columnar

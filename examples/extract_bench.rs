@@ -264,7 +264,6 @@ struct ScanRun {
     pages_skipped: u64,
     groups_pruned_dict: u64,
     peak_resident_rows: u64,
-    peak_group_count: u64,
 }
 
 fn scan_run(artifact: &str) -> ScanRun {
@@ -288,7 +287,6 @@ fn scan_run(artifact: &str) -> ScanRun {
         pages_skipped: map_value(artifact, "store.pages_skipped"),
         groups_pruned_dict: map_value(artifact, "store.groups_pruned_dict"),
         peak_resident_rows: map_value(artifact, "store.peak_resident_rows"),
-        peak_group_count: map_value(artifact, "store.peak_group_count"),
     }
 }
 
@@ -311,7 +309,7 @@ fn extract_scan_bench(artifacts: &[String]) -> Option<String> {
             "    {{\"engine\": \"{}\", \"unified_rows\": {}, \"scan_us\": {}, \
              \"ingest_us\": {}, \"rows_per_sec\": {:.0}, \"speedup_vs_first\": {:.2}, \
              \"rows_pruned\": {}, \"pages_skipped\": {}, \"groups_pruned_dict\": {}, \
-             \"peak_resident_rows\": {}, \"peak_group_count\": {}}}{}\n",
+             \"peak_resident_rows\": {}}}{}\n",
             r.engine,
             r.rows,
             r.scan_us,
@@ -322,12 +320,11 @@ fn extract_scan_bench(artifacts: &[String]) -> Option<String> {
             r.pages_skipped,
             r.groups_pruned_dict,
             r.peak_resident_rows,
-            r.peak_group_count,
             if i + 1 < runs.len() { "," } else { "" },
         ));
         eprintln!(
             "scan run {}: {} — {} unified rows in {:.3}s scan + {:.3}s ingest = \
-             {:.0} rows/sec ({:.2}x vs first; peak resident {}, {} groups)",
+             {:.0} rows/sec ({:.2}x vs first; peak resident {})",
             i + 1,
             r.engine,
             r.rows,
@@ -336,7 +333,6 @@ fn extract_scan_bench(artifacts: &[String]) -> Option<String> {
             r.rows_per_sec,
             speedup,
             r.peak_resident_rows,
-            r.peak_group_count,
         );
         if r.rows_per_sec < best_so_far * 0.8 {
             eprintln!(

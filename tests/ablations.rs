@@ -66,7 +66,8 @@ fn geolocation_noise_weakens_not_strengthens_effects() {
 #[test]
 fn perfect_geo_recovers_unlabeled_rows() {
     let labeled = |d: &StudyData| {
-        d.unified.query().filter_not_null("oblast").count() as f64 / d.unified_len() as f64
+        let located = d.unified.query().filter_not_null("oblast").expect("oblast column");
+        located.count() as f64 / d.unified_len() as f64
     };
     let l_noisy = labeled(noisy());
     let l_oracle = labeled(perfect_geo());

@@ -27,3 +27,75 @@ fn report_text_matches_the_golden_digest() {
         text.len()
     );
 }
+
+/// FNV-1a of `full_report(..).render()` at scale 0.02, seed 2022,
+/// `historical`, under `FaultPlan::MODERATE`: dirty cells drive every
+/// analysis through its finite/non-finite filtering.
+const MODERATE_REPORT_DIGEST: u64 = 0xe30c_f32a_8b0b_2987;
+
+/// FNV-1a of `full_report(..).render()` at scale 0.02, seed 2022,
+/// `asymmetric`, clean, with the second-country digest attached: pins the
+/// two-country A/B table on clean data.
+const ASYMMETRIC_REPORT_DIGEST: u64 = 0x825e_0877_dcec_88d8;
+
+/// FNV-1a over the 19 export artifacts of `run_analysis_stage` at scale
+/// 0.02, seed 2022, `historical`: each artifact's name, byte length and
+/// content, in stage-registry order.
+const EXPORT_DIGEST: u64 = 0xe655_991d_cee5_a0d4;
+
+fn assert_digest(what: &str, text: &str, want: u64) {
+    let got = fnv1a64(text.as_bytes());
+    assert_eq!(
+        got,
+        want,
+        "{what} digest moved: got {got:#018x} over {} bytes; if the change is intended, \
+         update the constant and say why in CHANGES.md",
+        text.len()
+    );
+}
+
+#[test]
+fn moderate_fault_report_matches_the_golden_digest() {
+    let data = StudyData::generate(SimConfig {
+        scale: 0.02,
+        seed: 2022,
+        faults: FaultPlan::MODERATE,
+        ..SimConfig::default()
+    });
+    let text = full_report(&data).expect("faulted corpus reports").render();
+    assert_digest("moderate-fault report", &text, MODERATE_REPORT_DIGEST);
+}
+
+#[test]
+fn asymmetric_report_matches_the_golden_digest() {
+    use ukraine_ndt::analysis::second_country_digest;
+    use ukraine_ndt::mlab::sim::Scenario;
+    let cfg = SimConfig {
+        scale: 0.02,
+        seed: 2022,
+        scenario: Scenario::ASYMMETRIC,
+        ..SimConfig::default()
+    };
+    let mut data = StudyData::generate(cfg);
+    data.second_country = second_country_digest(&cfg).expect("digest computes");
+    assert!(data.second_country.is_some(), "asymmetric declares a second country");
+    let text = full_report(&data).expect("clean corpus reports").render();
+    assert_digest("asymmetric report", &text, ASYMMETRIC_REPORT_DIGEST);
+}
+
+#[test]
+fn export_artifacts_match_the_golden_digest() {
+    use ukraine_ndt::analysis::{run_analysis_stage, ANALYSIS_STAGES};
+    let data = StudyData::generate(SimConfig { scale: 0.02, seed: 2022, ..SimConfig::default() });
+    let mut text = String::new();
+    let mut artifacts = 0;
+    for spec in &ANALYSIS_STAGES {
+        let out = run_analysis_stage(spec.name, &data).expect("stage computes");
+        for (name, content) in &out.artifacts {
+            text.push_str(&format!("{name}\n{}\n{content}", content.len()));
+            artifacts += 1;
+        }
+    }
+    assert_eq!(artifacts, 19, "export artifact set changed");
+    assert_digest("export artifacts", &text, EXPORT_DIGEST);
+}
