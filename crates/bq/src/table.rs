@@ -265,11 +265,6 @@ impl Table {
         &self.name
     }
 
-    /// Column names in schema order.
-    pub fn column_names(&self) -> &[String] {
-        &self.names
-    }
-
     /// Appends a row.
     ///
     /// # Panics
@@ -374,36 +369,6 @@ impl Table {
         crate::query::Query::all(self)
     }
 
-    /// Renders the table as CSV (header + all rows; nulls render empty,
-    /// strings are quoted only when they contain a comma or quote).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.names.join(",");
-        out.push('\n');
-        for row in 0..self.rows {
-            let cells: Vec<String> = self
-                .cols
-                .iter()
-                .map(|c| match c.get(row) {
-                    crate::value::Value::Null => String::new(),
-                    crate::value::Value::Str(s) if s.contains(',') || s.contains('"') => {
-                        format!("\"{}\"", s.replace('"', "\"\""))
-                    }
-                    v => v.to_string(),
-                })
-                .collect();
-            out.push_str(&cells.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Internal consistency check (all columns same length).
-    pub fn check(&self) {
-        for (c, n) in self.cols.iter().zip(&self.names) {
-            assert_eq!(c.len(), self.rows, "column '{n}' length drift");
-        }
-    }
-
     /// Switches a `Str` column to dictionary encoding, re-interning any
     /// existing values. A no-op on a column that is already dict-encoded.
     ///
@@ -486,6 +451,13 @@ impl Table {
 mod tests {
     use super::*;
 
+    /// Every column holds exactly `len()` cells.
+    fn assert_aligned(t: &Table) {
+        for (c, n) in t.cols.iter().zip(&t.names) {
+            assert_eq!(c.len(), t.rows, "column '{n}' length drift");
+        }
+    }
+
     fn sample() -> Table {
         let mut t = Table::new("t", &[("a", ColType::Int), ("b", ColType::Float), ("c", ColType::Str)]);
         t.push(vec![Value::Int(1), Value::Float(1.5), Value::from("x")]);
@@ -497,22 +469,13 @@ mod tests {
     #[test]
     fn push_and_read_back() {
         let t = sample();
-        t.check();
+        assert_aligned(&t);
         assert_eq!(t.len(), 3);
         assert_eq!(t.value(0, "a"), Value::Int(1));
         assert_eq!(t.value(1, "b"), Value::Null);
         // Int widens into Float columns.
         assert_eq!(t.value(2, "b"), Value::Float(3.0));
         assert_eq!(t.value(2, "c"), Value::Null);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new("t", &[("a", ColType::Int), ("c", ColType::Str)]);
-        t.push(vec![Value::Int(1), Value::from("plain")]);
-        t.push(vec![Value::Null, Value::from("with, comma")]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,c\n1,plain\n,\"with, comma\"\n");
     }
 
     #[test]
@@ -536,7 +499,7 @@ mod tests {
         assert!(t.try_push(vec![Value::from("nope")]).is_err());
         assert!(t.try_push(vec![Value::Int(1), Value::Int(2)]).is_err());
         assert!(t.is_empty());
-        t.check();
+        assert_aligned(&t);
         let delta = ndt_obs::delta_since(&before);
         // >= because the counter registry is process-global and other
         // tests may reject rows concurrently.
@@ -571,7 +534,7 @@ mod tests {
             plain.push(r.clone());
             dict.push(r);
         }
-        dict.check();
+        assert_aligned(&dict);
         assert_eq!(dict.column("s").col_type(), ColType::Str);
         assert_eq!(dict.len(), plain.len());
         for row in 0..plain.len() {
@@ -579,7 +542,6 @@ mod tests {
                 assert_eq!(dict.value(row, col), plain.value(row, col));
             }
         }
-        assert_eq!(dict.to_csv(), plain.to_csv());
     }
 
     #[test]
@@ -590,7 +552,7 @@ mod tests {
         t.push(vec![Value::from("b")]);
         t.dict_encode("s");
         t.push(vec![Value::from("a")]);
-        t.check();
+        assert_aligned(&t);
         assert_eq!(t.value(0, "s"), Value::from("a"));
         assert_eq!(t.value(1, "s"), Value::Null);
         assert_eq!(t.value(3, "s"), Value::from("a"));
@@ -632,7 +594,7 @@ mod tests {
             d.push_null();
         }
         assert_eq!(t.commit_batch().expect("aligned"), 2);
-        t.check();
+        assert_aligned(&t);
         assert_eq!(t.len(), 3);
         assert_eq!(t.value(1, "s"), Value::from("y"));
         assert_eq!(t.value(2, "s"), Value::Null);
@@ -642,7 +604,7 @@ mod tests {
             c.push(Some(9));
         }
         assert!(t.commit_batch().is_err());
-        t.check();
+        assert_aligned(&t);
         assert_eq!(t.len(), 3, "ragged batch left no partial rows");
     }
 
@@ -650,7 +612,7 @@ mod tests {
     fn truncate_restores_a_prior_row_count() {
         let mut t = sample();
         t.truncate(1);
-        t.check();
+        assert_aligned(&t);
         assert_eq!(t.len(), 1);
         assert_eq!(t.value(0, "a"), Value::Int(1));
         t.truncate(5); // growing is a no-op

@@ -16,7 +16,6 @@ use ndt_stats::Poisson;
 use ndt_tcp::{BulkTransfer, CongestionControl, PathCharacteristics, TransferConfig};
 use ndt_topology::route::RoutingConfig;
 use ndt_topology::{build_topology, AliasResolver, BuiltTopology, RoutingEngine, TopologyConfig};
-use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -197,6 +196,38 @@ impl SimCounters {
     }
 }
 
+/// Whether flap candidate `lid`, whose Ukrainian router sits in `oblast`,
+/// is down on `day`: a deterministic per-(link, day) coin with
+/// P(down) = 0.12 × the oblast's conflict intensity.
+fn flap_coin(spec: &ScenarioSpec, lid: ndt_topology::LinkId, oblast: Oblast, day: i64) -> bool {
+    let inten = intensity_for(spec, oblast, day);
+    if inten <= 0.0 {
+        return false;
+    }
+    let h = splitmix64((lid.0 as u64) << 32 | (day as u64 & 0xffff_ffff));
+    (h % 1_000) as f64 <= 120.0 * inten
+}
+
+/// One day's core damage, as applied by `Simulator::apply_day_damage`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct DamageCounts {
+    /// Border links given degraded loss/latency.
+    degraded: u64,
+    /// Links taken down by border decay or a transit outage.
+    downed: u64,
+    /// Links taken down by an intensity-driven flap.
+    flapped: u64,
+}
+
+impl DamageCounts {
+    /// Publishes the day's counts as `sim.links_*` work counters.
+    fn flush(&self) {
+        ndt_obs::incr("sim.links_degraded", self.degraded);
+        ndt_obs::incr("sim.links_downed", self.downed);
+        ndt_obs::incr("sim.links_flapped", self.flapped);
+    }
+}
+
 /// A client's effective location for one day: where it lives, which
 /// oblast's damage it experiences, and which site serves it. Migration
 /// waves change a client's home mid-study; everyone else keeps theirs.
@@ -243,11 +274,13 @@ pub struct Simulator {
     displacement: DisplacementModel,
     engine: RoutingEngine,
     transfer: BulkTransfer,
-    /// Interface → inferred-router cluster, from an imperfect (70%-recall)
-    /// Ally-style resolution run at platform setup. Paths are stamped with
-    /// a resolver's-eye fingerprint so the alias-resolution extension can
+    /// Inferred-router cluster ids of each link's `[a_if, b_if]`, indexed
+    /// by `LinkId`, from an imperfect (70%-recall) Ally-style resolution
+    /// run at platform setup. Interfaces the resolver never observed carry
+    /// their own address with bit 63 set. Paths are stamped with a
+    /// resolver's-eye fingerprint so the alias-resolution extension can
     /// compare IP-level, resolver-level and ground-truth path counting.
-    alias_clusters: HashMap<ndt_topology::Ipv4Addr, u64>,
+    link_alias_ids: Vec<[u64; 2]>,
 }
 
 impl Simulator {
@@ -275,6 +308,11 @@ impl Simulator {
             bt.topology.links().iter().flat_map(|l| [l.a_if, l.b_if]).collect();
         let alias_clusters =
             AliasResolver::new(0.7).cluster_map(&bt.topology, &interfaces, &mut rng);
+        let alias_id = |ip: ndt_topology::Ipv4Addr| {
+            alias_clusters.get(&ip).copied().unwrap_or(ip.0 as u64 | 1 << 63)
+        };
+        let link_alias_ids: Vec<[u64; 2]> =
+            bt.topology.links().iter().map(|l| [alias_id(l.a_if), alias_id(l.b_if)]).collect();
         let client_sites: Vec<SiteId> =
             pool.clients().iter().map(|c| lb.site_for_city(c.city, c.ip).id).collect();
         let spec = config.scenario.spec();
@@ -322,7 +360,7 @@ impl Simulator {
             displacement: DisplacementModel::for_scenario(config.scenario),
             engine: RoutingEngine::with_config(routing_cfg),
             transfer: BulkTransfer::new(TransferConfig { cca: config.cca, ..Default::default() }),
-            alias_clusters,
+            link_alias_ids,
             bt,
         }
     }
@@ -340,16 +378,20 @@ impl Simulator {
         Some(Home { city: c.city, oblast: c.oblast, site: self.client_sites[ci] })
     }
 
-    /// FNV-1a over the resolver's cluster ids along a path — what path
-    /// counting sees after imperfect alias resolution. Unresolved
-    /// interfaces (never observed by the resolver) hash as themselves.
+    /// FNV-1a over the resolver's cluster ids along a path (egress then
+    /// ingress interface of every link, the order of
+    /// [`ndt_topology::Path::ips`]) — what path counting sees after
+    /// imperfect alias resolution. Unresolved interfaces hash as themselves.
     fn resolved_fingerprint(&self, path: &ndt_topology::Path) -> u64 {
         let mut h: u64 = 0x6384_2232_5cbf_29ce;
-        path.for_each_ip(&self.bt.topology, |ip| {
-            let id = self.alias_clusters.get(&ip).copied().unwrap_or(ip.0 as u64 | 1 << 63);
-            h ^= id;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        });
+        for (&lid, &from) in path.link_seq.iter().zip(&path.as_seq) {
+            let [a, b] = self.link_alias_ids[lid.0 as usize];
+            let hop = if self.bt.topology.link(lid).a_asn == from { [a, b] } else { [b, a] };
+            for id in hop {
+                h ^= id;
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        }
         h
     }
 
@@ -424,7 +466,7 @@ impl Simulator {
                 days_lost += 1;
                 continue;
             }
-            self.apply_day_damage(day);
+            self.apply_day_damage(day).flush();
             totals.merge(&self.simulate_day(day, ds, engines));
             days_simulated += 1;
         }
@@ -437,20 +479,20 @@ impl Simulator {
         ndt_obs::incr("sim.days_lost", days_lost);
     }
 
-    /// Applies the conflict model's state for one day to the topology.
+    /// Applies the conflict model's state for one day to the topology and
+    /// returns what it did.
     ///
     /// Every link taken down here forces BGP onto an alternate path the
-    /// next time a test is routed, so the `sim.links_*` counters published
-    /// at the end are the day-by-day budget of forced reroutes.
-    fn apply_day_damage(&mut self, day: i64) {
+    /// next time a test is routed, so the down counts are the day-by-day
+    /// budget of forced reroutes: a link counts once, by the first cause
+    /// that takes it down, however many causes hit it that day.
+    fn apply_day_damage(&mut self, day: i64) -> DamageCounts {
         let topo = &mut self.bt.topology;
         topo.heal_all();
+        let mut counts = DamageCounts::default();
         if !self.spec.core_damage {
-            return;
+            return counts;
         }
-        let mut links_degraded = 0u64;
-        let mut links_downed = 0u64;
-        let mut links_flapped = 0u64;
         // Border-AS decay, flaps and permanent re-homings, from the spec's
         // transit rules (Figures 5 and 6).
         for dmg in border_damage_for(self.spec, day) {
@@ -461,10 +503,9 @@ impl Simulator {
                 .collect();
             for id in links {
                 topo.degrade_link(id, dmg.loss_add, dmg.latency_mult);
-                links_degraded += 1;
-                if dmg.down {
-                    topo.set_link_up(id, false);
-                    links_downed += 1;
+                counts.degraded += 1;
+                if dmg.down && topo.set_link_up(id, false) {
+                    counts.downed += 1;
                 }
             }
         }
@@ -482,15 +523,8 @@ impl Simulator {
                 .collect()
         };
         for (lid, oblast) in flap_candidates {
-            let inten = intensity_for(self.spec, oblast, day);
-            if inten <= 0.0 {
-                continue;
-            }
-            // Deterministic per-(link, day) coin with P(down) = 0.12 × intensity.
-            let h = splitmix64((lid.0 as u64) << 32 | (day as u64 & 0xffff_ffff));
-            if (h % 1_000) as f64 <= 120.0 * inten {
-                topo.set_link_up(lid, false);
-                links_flapped += 1;
+            if flap_coin(self.spec, lid, oblast, day) && topo.set_link_up(lid, false) {
+                counts.flapped += 1;
             }
         }
         // Transit outages (March 10): majority-of-day outages take the
@@ -500,14 +534,13 @@ impl Simulator {
             if outage.down_fraction >= 0.5 {
                 let links: Vec<_> = topo.links_of(outage.asn).map(|l| l.id).collect();
                 for id in links {
-                    topo.set_link_up(id, false);
-                    links_downed += 1;
+                    if topo.set_link_up(id, false) {
+                        counts.downed += 1;
+                    }
                 }
             }
         }
-        ndt_obs::incr("sim.links_degraded", links_degraded);
-        ndt_obs::incr("sim.links_downed", links_downed);
-        ndt_obs::incr("sim.links_flapped", links_flapped);
+        counts
     }
 
     }
@@ -926,6 +959,33 @@ mod tests {
         let spike = count(mar10);
         let typical = ((mar10 - 6)..(mar10 - 1)).map(count).sum::<f64>() / 5.0;
         assert!(spike > 1.25 * typical, "no spike: {spike} vs typical {typical}");
+    }
+
+    #[test]
+    fn a_link_downed_twice_in_one_day_counts_once() {
+        let mut sim = Simulator::new(SimConfig::small(1));
+        let day = dates::NATIONAL_OUTAGES.day_index();
+        let counts = sim.apply_day_damage(day);
+        let topo = &sim.bt.topology;
+        let down = topo.links().iter().filter(|l| !l.state.up).count() as u64;
+        assert!(down > 0);
+        assert_eq!(counts.downed + counts.flapped, down, "each down link counts exactly once");
+        // The day really does hit a link twice: a transit outage takes down
+        // a link whose flap coin already took it down.
+        let outage_ases: Vec<_> = outages_for(sim.spec, day)
+            .into_iter()
+            .filter(|o| o.down_fraction >= 0.5)
+            .map(|o| o.asn)
+            .collect();
+        let tro = &sim.bt.transit_router_oblast;
+        let double_hit = topo.links().iter().any(|l| {
+            (outage_ases.contains(&l.a_asn) || outage_ases.contains(&l.b_asn))
+                && tro
+                    .get(&l.a)
+                    .or_else(|| tro.get(&l.b))
+                    .is_some_and(|&ob| flap_coin(sim.spec, l.id, ob, day))
+        });
+        assert!(double_hit, "no link is both flapped and in an outage on {day}");
     }
 
     #[test]

@@ -289,13 +289,17 @@ impl Topology {
         self.version
     }
 
-    /// Brings a link up or down. Changing reachability bumps the version.
-    pub fn set_link_up(&mut self, id: LinkId, up: bool) {
+    /// Brings a link up or down. Changing reachability bumps the version;
+    /// returns whether the state changed (false when the link already was
+    /// in the requested state).
+    pub fn set_link_up(&mut self, id: LinkId, up: bool) -> bool {
         let link = &mut self.links[id.0 as usize];
-        if link.state.up != up {
-            link.state.up = up;
-            self.version += 1;
+        if link.state.up == up {
+            return false;
         }
+        link.state.up = up;
+        self.version += 1;
+        true
     }
 
     /// Applies (or clears) performance damage to a link without affecting
@@ -358,11 +362,11 @@ mod tests {
         let v0 = t.version();
         t.degrade_link(l, 0.05, 2.0);
         assert_eq!(t.version(), v0, "degradation must not trigger rerouting");
-        t.set_link_up(l, false);
+        assert!(t.set_link_up(l, false), "a transition reports a change");
         assert_eq!(t.version(), v0 + 1);
-        t.set_link_up(l, false); // idempotent
+        assert!(!t.set_link_up(l, false), "idempotent: no change, no bump");
         assert_eq!(t.version(), v0 + 1);
-        t.set_link_up(l, true);
+        assert!(t.set_link_up(l, true));
         assert_eq!(t.version(), v0 + 2);
     }
 

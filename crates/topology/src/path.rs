@@ -68,23 +68,16 @@ impl Path {
     /// actually records.
     pub fn ips(&self, topo: &Topology) -> Vec<Ipv4Addr> {
         let mut out = Vec::with_capacity(self.link_seq.len() * 2);
-        self.for_each_ip(topo, |ip| out.push(ip));
-        out
-    }
-
-    /// Visits the interface addresses along the path in traversal order —
-    /// the streaming form of [`Path::ips`] for hot paths that only need to
-    /// fold over the addresses (e.g. fingerprinting) without allocating.
-    pub fn for_each_ip(&self, topo: &Topology, mut f: impl FnMut(Ipv4Addr)) {
         let mut cur = *self.as_seq.first().expect("path has a source AS");
         for &lid in &self.link_seq {
             let link = topo.link(lid);
             let (egress, ingress) =
                 if link.a_asn == cur { (link.a_if, link.b_if) } else { (link.b_if, link.a_if) };
-            f(egress);
-            f(ingress);
+            out.push(egress);
+            out.push(ingress);
             cur = link.peer_of(cur);
         }
+        out
     }
 
     /// Stable fingerprint of the *IP-level* path — FNV-1a over the link

@@ -9,15 +9,20 @@
 //! but load-balanced and backup routes do appear, which is precisely the
 //! path diversity the paper measures per connection in Table 2.
 //!
-//! Candidates are cached per `(src, dst, topology version)`; failing a link
-//! bumps the version, so wartime damage transparently forces the
-//! re-convergence (and the new-path usage) that §5.1 observes.
+//! The engine holds state for one topology version at a time: a dense
+//! adjacency snapshot (one representative up link per neighbour and
+//! relationship) that every Dijkstra of that version runs on, and the
+//! candidate routes per `(src, dst)`. Failing a link bumps the version, so
+//! the next selection drops both and re-converges — the wartime new-path
+//! usage that §5.1 observes. Flap coins are keyed per (link, day), so
+//! damaged days rarely repeat a down-link set; what pays is making each
+//! re-convergence cheap, not caching across versions.
 
 use crate::asn::Asn;
 use crate::graph::{LinkId, Relationship, Topology};
 use crate::path::Path;
 use rand::{Rng, RngExt as _};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 
 /// Identifies a (client, server) connection for deterministic tie-breaking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,6 +49,11 @@ impl Phase {
             (_, Relationship::ProviderToCustomer) => Some(Phase::Down),
             _ => None,
         }
+    }
+
+    /// Dense state index of `(node, self)` in per-Dijkstra arrays.
+    fn state(self, node: u32) -> usize {
+        node as usize * 3 + self as usize
     }
 }
 
@@ -88,16 +98,92 @@ struct Candidate {
     cost: f64,
     /// Per hop of `links`: the up links between that hop's AS pair, sorted
     /// by latency. Parallels are a pure function of (AS pair, topology
-    /// version) — the same key the cache is under — so they are resolved
-    /// once here instead of rescanning the pair's links on every test.
+    /// version), and the cache holds a single version, so they are
+    /// resolved once here instead of rescanning the pair's links on every
+    /// test.
     hop_parallels: Vec<Vec<LinkId>>,
 }
 
-/// The routing engine with its per-version route cache.
+/// One representative up edge out of an AS in a [`Snapshot`].
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// Dense index of the neighbouring AS.
+    peer: u32,
+    /// Relationship towards the neighbour.
+    rel: Relationship,
+    /// The representative link: the first, in adjacency order, among the
+    /// cheapest up links to `peer` with relationship `rel`.
+    link: LinkId,
+    /// Its base latency (routing never sees degradation multipliers).
+    latency_ms: f64,
+}
+
+/// The topology's up links at one version, flattened for Dijkstra.
+///
+/// ASes are indexed densely in ascending ASN order, so comparing indices
+/// orders exactly like comparing ASNs — the heap's tie-break is unchanged.
+#[derive(Debug)]
+struct Snapshot {
+    /// ASN → dense index.
+    index: HashMap<Asn, u32>,
+    /// Per dense index: one representative edge per (neighbour, relationship).
+    edges: Vec<Vec<Edge>>,
+}
+
+impl Snapshot {
+    fn build(topo: &Topology) -> Self {
+        let asns: Vec<Asn> = topo
+            .links()
+            .iter()
+            .flat_map(|l| [l.a_asn, l.b_asn])
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let index: HashMap<Asn, u32> =
+            asns.iter().enumerate().map(|(i, &asn)| (asn, i as u32)).collect();
+        let mut slot_of: HashMap<(u32, Relationship), usize> = HashMap::new();
+        let edges = asns
+            .iter()
+            .map(|&asn| {
+                slot_of.clear();
+                let mut out: Vec<Edge> = Vec::new();
+                for link in topo.links_of(asn).filter(|l| l.state.up) {
+                    let peer = index[&link.peer_of(asn)];
+                    let rel = link.rel_from(asn);
+                    match slot_of.get(&(peer, rel)) {
+                        Some(&i) => {
+                            // Strict `>`: the first of equally cheap links stays.
+                            if out[i].latency_ms > link.latency_ms {
+                                out[i].link = link.id;
+                                out[i].latency_ms = link.latency_ms;
+                            }
+                        }
+                        None => {
+                            slot_of.insert((peer, rel), out.len());
+                            out.push(Edge { peer, rel, link: link.id, latency_ms: link.latency_ms });
+                        }
+                    }
+                }
+                out
+            })
+            .collect();
+        Self { index, edges }
+    }
+}
+
+/// Routing state for the one topology version the engine last saw.
+#[derive(Debug)]
+struct VersionCache {
+    version: u64,
+    snapshot: Snapshot,
+    candidates: HashMap<(Asn, Asn), Vec<Candidate>>,
+}
+
+/// The routing engine with its one-version route cache.
 #[derive(Debug, Default)]
 pub struct RoutingEngine {
     config: RoutingConfig,
-    cache: HashMap<(Asn, Asn, u64), Vec<Candidate>>,
+    cache: Option<VersionCache>,
 }
 
 impl RoutingEngine {
@@ -108,7 +194,7 @@ impl RoutingEngine {
 
     /// Creates an engine with explicit tunables.
     pub fn with_config(config: RoutingConfig) -> Self {
-        Self { config, cache: HashMap::new() }
+        Self { config, cache: None }
     }
 
     /// Current tunables.
@@ -116,9 +202,10 @@ impl RoutingEngine {
         &self.config
     }
 
-    /// Drops cached candidates (useful between scenario years).
+    /// Drops cached candidates and the adjacency snapshot (useful between
+    /// scenario years, or before handing the engine a different topology).
     pub fn clear_cache(&mut self) {
-        self.cache.clear();
+        self.cache = None;
     }
 
     /// Selects a concrete path for one test from `src` (M-Lab host AS) to
@@ -172,160 +259,196 @@ impl RoutingEngine {
     }
 
     /// Returns (computing and caching if needed) the candidate routes for a
-    /// src/dst pair at the topology's current version.
+    /// src/dst pair at the topology's current version. A version change
+    /// drops every cached candidate and rebuilds the snapshot first.
     fn candidates(&mut self, topo: &Topology, src: Asn, dst: Asn) -> &[Candidate] {
-        let key = (src, dst, topo.version());
-        if !self.cache.contains_key(&key) {
-            let cands = self.compute_candidates(topo, src, dst);
-            // Drop stale entries for this pair to bound memory across many
-            // failure-driven version bumps.
-            self.cache.retain(|(s, d, v), _| !(*s == src && *d == dst && *v != topo.version()));
-            self.cache.insert(key, cands);
+        let version = topo.version();
+        if self.cache.as_ref().is_some_and(|c| c.version != version) {
+            self.cache = None;
         }
-        self.cache.get(&key).expect("just inserted")
+        let cache = self.cache.get_or_insert_with(|| VersionCache {
+            version,
+            snapshot: Snapshot::build(topo),
+            candidates: HashMap::new(),
+        });
+        let (config, snapshot) = (&self.config, &cache.snapshot);
+        cache
+            .candidates
+            .entry((src, dst))
+            .or_insert_with(|| compute_candidates(config, snapshot, topo, src, dst))
+    }
+}
+
+/// Best path plus AS-pair-exclusion deviations, deduplicated, sorted by
+/// cost, truncated to `k_alternatives`.
+fn compute_candidates(
+    config: &RoutingConfig,
+    snap: &Snapshot,
+    topo: &Topology,
+    src: Asn,
+    dst: Asn,
+) -> Vec<Candidate> {
+    let mut search = Search::new(snap.edges.len());
+    let Some((best, nodes)) = search.run(config, snap, src, dst, None) else {
+        return Vec::new();
+    };
+    let mut seen: HashSet<Vec<LinkId>> = HashSet::new();
+    seen.insert(best.links.clone());
+    let mut out = vec![best];
+    // Deviations: exclude each AS-pair edge of the best path in turn.
+    for pair in nodes.windows(2) {
+        if let Some((alt, _)) = search.run(config, snap, src, dst, Some((pair[0], pair[1]))) {
+            if seen.insert(alt.links.clone()) {
+                out.push(alt);
+            }
+        }
+    }
+    out.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+    out.truncate(config.k_alternatives.max(1));
+    for cand in &mut out {
+        cand.hop_parallels = resolve_parallels(topo, src, &cand.links);
+    }
+    out
+}
+
+/// Per hop of `links` (starting at `src`): the up links between that hop's
+/// AS pair, sorted by base latency.
+fn resolve_parallels(topo: &Topology, src: Asn, links: &[LinkId]) -> Vec<Vec<LinkId>> {
+    let mut cur = src;
+    let mut per_hop = Vec::with_capacity(links.len());
+    for &lid in links {
+        let next = topo.link(lid).peer_of(cur);
+        let mut parallels: Vec<LinkId> = topo
+            .links_between(cur, next)
+            .into_iter()
+            .filter(|id| topo.link(*id).state.up)
+            .collect();
+        // total_cmp: a NaN latency (degraded link metadata) must not
+        // panic the sort — it just ranks last.
+        parallels
+            .sort_by(|a, b| topo.link(*a).latency_ms.total_cmp(&topo.link(*b).latency_ms));
+        per_hop.push(parallels);
+        cur = next;
+    }
+    per_hop
+}
+
+/// Reusable per-(src, dst) Dijkstra buffers, indexed by dense state
+/// (`node * 3 + phase`).
+struct Search {
+    /// Best known cost per state; `INFINITY` = not reached. Route costs
+    /// are finite (link latencies are positive, penalties are constants),
+    /// so this sentinel relaxes exactly like an absent entry.
+    dist: Vec<f64>,
+    /// Predecessor state and link per state; `NO_PREV` = none.
+    prev: Vec<(usize, LinkId)>,
+    heap: BinaryHeap<Entry>,
+}
+
+/// `Search::prev` marker for a state with no predecessor.
+const NO_PREV: usize = usize::MAX;
+
+/// Heap entry of the valley-free Dijkstra.
+#[derive(PartialEq)]
+struct Entry {
+    cost: f64,
+    node: u32,
+    phase: Phase,
+}
+
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Min-heap on cost; tie-break deterministically on the larger ASN
+        // (dense indices order like ASNs), then phase. total_cmp keeps Ord
+        // lawful even if a cost goes NaN.
+        other
+            .cost
+            .total_cmp(&self.cost)
+            .then_with(|| self.node.cmp(&other.node))
+            .then_with(|| self.phase.cmp(&other.phase))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Search {
+    fn new(n_nodes: usize) -> Self {
+        Self {
+            dist: vec![f64::INFINITY; n_nodes * 3],
+            prev: vec![(NO_PREV, LinkId(0)); n_nodes * 3],
+            heap: BinaryHeap::new(),
+        }
     }
 
-    /// Best path plus link-exclusion deviations, deduplicated, sorted by
-    /// cost, truncated to `k_alternatives`.
-    fn compute_candidates(&self, topo: &Topology, src: Asn, dst: Asn) -> Vec<Candidate> {
-        let Some(best) = self.dijkstra(topo, src, dst, &HashSet::new()) else {
-            return Vec::new();
-        };
-        let resolve_parallels = |links: &[LinkId]| -> Vec<Vec<LinkId>> {
-            let mut cur = src;
-            let mut per_hop = Vec::with_capacity(links.len());
-            for &lid in links {
-                let next = topo.link(lid).peer_of(cur);
-                let mut parallels: Vec<LinkId> = topo
-                    .links_between(cur, next)
-                    .into_iter()
-                    .filter(|id| topo.link(*id).state.up)
-                    .collect();
-                // total_cmp: a NaN latency (degraded link metadata) must not
-                // panic the sort — it just ranks last.
-                parallels.sort_by(|a, b| {
-                    topo.link(*a).latency_ms.total_cmp(&topo.link(*b).latency_ms)
-                });
-                per_hop.push(parallels);
-                cur = next;
-            }
-            per_hop
-        };
-        let mut seen: HashSet<Vec<LinkId>> = HashSet::new();
-        let mut out = vec![];
-        seen.insert(best.links.clone());
-        // Deviations: exclude each AS-pair edge of the best path in turn.
-        let mut excluded_pairs: Vec<(Asn, Asn)> = Vec::new();
-        {
-            let mut cur = src;
-            for &lid in &best.links {
-                let next = topo.link(lid).peer_of(cur);
-                excluded_pairs.push((cur, next));
-                cur = next;
-            }
-        }
-        out.push(best);
-        for pair in excluded_pairs {
-            let mut banned = HashSet::new();
-            for lid in topo.links_between(pair.0, pair.1) {
-                banned.insert(lid);
-            }
-            if let Some(alt) = self.dijkstra(topo, src, dst, &banned) {
-                if seen.insert(alt.links.clone()) {
-                    out.push(alt);
-                }
-            }
-        }
-        out.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-        out.truncate(self.config.k_alternatives.max(1));
-        for cand in &mut out {
-            cand.hop_parallels = resolve_parallels(&cand.links);
-        }
-        out
-    }
-
-    /// Valley-free Dijkstra over (AS, phase) states, ignoring links in
-    /// `banned` and links that are down. Uses the lowest-latency up link per
-    /// AS pair as representative.
-    fn dijkstra(
-        &self,
-        topo: &Topology,
+    /// Valley-free Dijkstra over (AS, phase) states on the snapshot's
+    /// representative edges, skipping the AS pair `banned` (both
+    /// directions). Returns the route (without parallels) and the dense
+    /// index of every AS along it, source first.
+    fn run(
+        &mut self,
+        config: &RoutingConfig,
+        snap: &Snapshot,
         src: Asn,
         dst: Asn,
-        banned: &HashSet<LinkId>,
-    ) -> Option<Candidate> {
-        #[derive(PartialEq)]
-        struct Entry {
-            cost: f64,
-            asn: Asn,
-            phase: Phase,
-        }
-        impl Eq for Entry {}
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Min-heap on cost; tie-break deterministically. total_cmp
-                // keeps Ord lawful even if a cost goes NaN.
-                other
-                    .cost
-                    .total_cmp(&self.cost)
-                    .then_with(|| self.asn.cmp(&other.asn))
-                    .then_with(|| self.phase.cmp(&other.phase))
-            }
-        }
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
+        banned: Option<(u32, u32)>,
+    ) -> Option<(Candidate, Vec<u32>)> {
+        let Some(&s) = snap.index.get(&src) else {
+            // An AS without links reaches only itself.
+            let empty = Candidate { links: Vec::new(), cost: 0.0, hop_parallels: Vec::new() };
+            return (src == dst).then_some((empty, Vec::new()));
+        };
+        // A destination without links is never reached.
+        let &d = snap.index.get(&dst)?;
+        self.dist.fill(f64::INFINITY);
+        self.prev.fill((NO_PREV, LinkId(0)));
+        self.heap.clear();
+        self.dist[Phase::Up.state(s)] = 0.0;
+        self.heap.push(Entry { cost: 0.0, node: s, phase: Phase::Up });
 
-        let mut dist: HashMap<(Asn, Phase), f64> = HashMap::new();
-        let mut prev: HashMap<(Asn, Phase), (Asn, Phase, LinkId)> = HashMap::new();
-        let mut heap = BinaryHeap::new();
-        dist.insert((src, Phase::Up), 0.0);
-        heap.push(Entry { cost: 0.0, asn: src, phase: Phase::Up });
-
-        while let Some(Entry { cost, asn, phase }) = heap.pop() {
-            if asn == dst {
+        while let Some(Entry { cost, node, phase }) = self.heap.pop() {
+            let here = phase.state(node);
+            if node == d {
                 // Reconstruct.
                 let mut links = Vec::new();
-                let mut cur = (asn, phase);
-                while let Some(&(pasn, pphase, lid)) = prev.get(&cur) {
+                let mut nodes = vec![node];
+                let mut cur = here;
+                while self.prev[cur].0 != NO_PREV {
+                    let (p, lid) = self.prev[cur];
                     links.push(lid);
-                    cur = (pasn, pphase);
+                    nodes.push((p / 3) as u32);
+                    cur = p;
                 }
                 links.reverse();
-                return Some(Candidate { links, cost, hop_parallels: Vec::new() });
+                nodes.reverse();
+                return Some((Candidate { links, cost, hop_parallels: Vec::new() }, nodes));
             }
-            if dist.get(&(asn, phase)).is_some_and(|&d| cost > d) {
+            if cost > self.dist[here] {
                 continue;
             }
-            // Representative (cheapest latency) up link per neighbour+rel.
-            let mut best_link: HashMap<(Asn, Relationship), LinkId> = HashMap::new();
-            for link in topo.links_of(asn) {
-                if !link.state.up || banned.contains(&link.id) {
+            for edge in &snap.edges[node as usize] {
+                if banned.is_some_and(|(a, b)| {
+                    (node == a && edge.peer == b) || (node == b && edge.peer == a)
+                }) {
                     continue;
                 }
-                let peer = link.peer_of(asn);
-                let rel = link.rel_from(asn);
-                let slot = best_link.entry((peer, rel)).or_insert(link.id);
-                if topo.link(*slot).latency_ms > link.latency_ms {
-                    *slot = link.id;
-                }
-            }
-            for ((peer, rel), lid) in best_link {
-                let Some(next_phase) = phase.step(rel) else { continue };
-                let link = topo.link(lid);
-                let penalty = match rel {
-                    Relationship::CustomerToProvider => self.config.penalty_provider,
-                    Relationship::PeerToPeer => self.config.penalty_peer,
+                let Some(next_phase) = phase.step(edge.rel) else { continue };
+                let penalty = match edge.rel {
+                    Relationship::CustomerToProvider => config.penalty_provider,
+                    Relationship::PeerToPeer => config.penalty_peer,
                     Relationship::ProviderToCustomer => 0.0,
                 };
-                let ncost = cost + link.latency_ms + penalty + self.config.penalty_hop;
-                let key = (peer, next_phase);
-                if dist.get(&key).is_none_or(|&d| ncost < d) {
-                    dist.insert(key, ncost);
-                    prev.insert(key, (asn, phase, lid));
-                    heap.push(Entry { cost: ncost, asn: peer, phase: next_phase });
+                let ncost = cost + edge.latency_ms + penalty + config.penalty_hop;
+                let next = next_phase.state(edge.peer);
+                if ncost < self.dist[next] {
+                    self.dist[next] = ncost;
+                    self.prev[next] = (here, edge.link);
+                    self.heap.push(Entry { cost: ncost, node: edge.peer, phase: next_phase });
                 }
             }
         }
@@ -352,9 +475,268 @@ fn pick_biased<R: Rng + ?Sized>(n: usize, bias: f64, rng: &mut R) -> usize {
 mod tests {
     use super::*;
     use crate::asn::{AsInfo, AsKind};
+    use crate::build::{build_topology, TopologyConfig};
+    use crate::graph::LinkId;
     use crate::ip::{Ipv4Addr, Prefix};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The route computation as it stood before the per-version snapshot:
+    /// a `HashMap`-keyed Dijkstra that rebuilds the representative-link map
+    /// on every heap pop and bans a pair through a link set. Kept verbatim
+    /// as the oracle the snapshot Dijkstra must match bit for bit.
+    struct Reference {
+        config: RoutingConfig,
+    }
+
+    impl Reference {
+        fn compute_candidates(&self, topo: &Topology, src: Asn, dst: Asn) -> Vec<Candidate> {
+            let Some(best) = self.dijkstra(topo, src, dst, &HashSet::new()) else {
+                return Vec::new();
+            };
+            let resolve_parallels = |links: &[LinkId]| -> Vec<Vec<LinkId>> {
+                let mut cur = src;
+                let mut per_hop = Vec::with_capacity(links.len());
+                for &lid in links {
+                    let next = topo.link(lid).peer_of(cur);
+                    let mut parallels: Vec<LinkId> = topo
+                        .links_between(cur, next)
+                        .into_iter()
+                        .filter(|id| topo.link(*id).state.up)
+                        .collect();
+                    parallels.sort_by(|a, b| {
+                        topo.link(*a).latency_ms.total_cmp(&topo.link(*b).latency_ms)
+                    });
+                    per_hop.push(parallels);
+                    cur = next;
+                }
+                per_hop
+            };
+            let mut seen: HashSet<Vec<LinkId>> = HashSet::new();
+            let mut out = vec![];
+            seen.insert(best.links.clone());
+            let mut excluded_pairs: Vec<(Asn, Asn)> = Vec::new();
+            {
+                let mut cur = src;
+                for &lid in &best.links {
+                    let next = topo.link(lid).peer_of(cur);
+                    excluded_pairs.push((cur, next));
+                    cur = next;
+                }
+            }
+            out.push(best);
+            for pair in excluded_pairs {
+                let mut banned = HashSet::new();
+                for lid in topo.links_between(pair.0, pair.1) {
+                    banned.insert(lid);
+                }
+                if let Some(alt) = self.dijkstra(topo, src, dst, &banned) {
+                    if seen.insert(alt.links.clone()) {
+                        out.push(alt);
+                    }
+                }
+            }
+            out.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+            out.truncate(self.config.k_alternatives.max(1));
+            for cand in &mut out {
+                cand.hop_parallels = resolve_parallels(&cand.links);
+            }
+            out
+        }
+
+        fn dijkstra(
+            &self,
+            topo: &Topology,
+            src: Asn,
+            dst: Asn,
+            banned: &HashSet<LinkId>,
+        ) -> Option<Candidate> {
+            #[derive(PartialEq)]
+            struct Entry {
+                cost: f64,
+                asn: Asn,
+                phase: Phase,
+            }
+            impl Eq for Entry {}
+            impl Ord for Entry {
+                fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                    other
+                        .cost
+                        .total_cmp(&self.cost)
+                        .then_with(|| self.asn.cmp(&other.asn))
+                        .then_with(|| self.phase.cmp(&other.phase))
+                }
+            }
+            impl PartialOrd for Entry {
+                fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                    Some(self.cmp(other))
+                }
+            }
+
+            let mut dist: HashMap<(Asn, Phase), f64> = HashMap::new();
+            let mut prev: HashMap<(Asn, Phase), (Asn, Phase, LinkId)> = HashMap::new();
+            let mut heap = BinaryHeap::new();
+            dist.insert((src, Phase::Up), 0.0);
+            heap.push(Entry { cost: 0.0, asn: src, phase: Phase::Up });
+
+            while let Some(Entry { cost, asn, phase }) = heap.pop() {
+                if asn == dst {
+                    let mut links = Vec::new();
+                    let mut cur = (asn, phase);
+                    while let Some(&(pasn, pphase, lid)) = prev.get(&cur) {
+                        links.push(lid);
+                        cur = (pasn, pphase);
+                    }
+                    links.reverse();
+                    return Some(Candidate { links, cost, hop_parallels: Vec::new() });
+                }
+                if dist.get(&(asn, phase)).is_some_and(|&d| cost > d) {
+                    continue;
+                }
+                let mut best_link: HashMap<(Asn, Relationship), LinkId> = HashMap::new();
+                for link in topo.links_of(asn) {
+                    if !link.state.up || banned.contains(&link.id) {
+                        continue;
+                    }
+                    let peer = link.peer_of(asn);
+                    let rel = link.rel_from(asn);
+                    let slot = best_link.entry((peer, rel)).or_insert(link.id);
+                    if topo.link(*slot).latency_ms > link.latency_ms {
+                        *slot = link.id;
+                    }
+                }
+                for ((peer, rel), lid) in best_link {
+                    let Some(next_phase) = phase.step(rel) else { continue };
+                    let link = topo.link(lid);
+                    let penalty = match rel {
+                        Relationship::CustomerToProvider => self.config.penalty_provider,
+                        Relationship::PeerToPeer => self.config.penalty_peer,
+                        Relationship::ProviderToCustomer => 0.0,
+                    };
+                    let ncost = cost + link.latency_ms + penalty + self.config.penalty_hop;
+                    let key = (peer, next_phase);
+                    if dist.get(&key).is_none_or(|&d| ncost < d) {
+                        dist.insert(key, ncost);
+                        prev.insert(key, (asn, phase, lid));
+                        heap.push(Entry { cost: ncost, asn: peer, phase: next_phase });
+                    }
+                }
+            }
+            None
+        }
+    }
+
+    /// `(src, dst)` pairs over the default topology: mostly (M-Lab host,
+    /// access AS) as the simulator asks, plus arbitrary linked ASes and
+    /// `src == dst` to reach the corners.
+    fn sample_pairs(bt: &crate::build::BuiltTopology, rng: &mut StdRng, n: usize) -> Vec<(Asn, Asn)> {
+        let mut hosts: Vec<Asn> = bt.mlab_hosts.iter().map(|h| h.asn).collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        let mut access: Vec<Asn> = bt.market_shares.values().flatten().map(|e| e.0).collect();
+        access.sort_unstable();
+        access.dedup();
+        let mut any: Vec<Asn> =
+            bt.topology.links().iter().flat_map(|l| [l.a_asn, l.b_asn]).collect();
+        any.sort_unstable();
+        any.dedup();
+        let pick = |v: &[Asn], rng: &mut StdRng| v[(rng.next_u64() % v.len() as u64) as usize];
+        (0..n)
+            .map(|i| match i % 8 {
+                6 => (pick(&any, rng), pick(&any, rng)),
+                7 => {
+                    let a = pick(&any, rng);
+                    (a, a)
+                }
+                _ => (pick(&hosts, rng), pick(&access, rng)),
+            })
+            .collect()
+    }
+
+    /// Asserts the engine's candidates for `(src, dst)` equal the
+    /// reference's: links, cost bits and per-hop parallels; an unreachable
+    /// pair has none and selects no path.
+    fn assert_matches_reference(eng: &mut RoutingEngine, topo: &Topology, src: Asn, dst: Asn) {
+        let want = Reference { config: *eng.config() }.compute_candidates(topo, src, dst);
+        let got = eng.candidates(topo, src, dst).to_vec();
+        assert_eq!(got.len(), want.len(), "{src}→{dst}: candidate count");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.links, w.links, "{src}→{dst}: links");
+            assert_eq!(g.cost.to_bits(), w.cost.to_bits(), "{src}→{dst}: cost bits");
+            assert_eq!(g.hop_parallels, w.hop_parallels, "{src}→{dst}: hop parallels");
+        }
+        if want.is_empty() {
+            let mut rng = StdRng::seed_from_u64(0);
+            assert!(eng.select_path(topo, src, dst, &mut rng).is_none(), "{src}→{dst}: unreachable");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Under any down-link subset, the snapshot Dijkstra reproduces the
+        /// reference candidates exactly.
+        #[test]
+        fn snapshot_routes_match_the_reference(seed in 0u64..1 << 48, down_permille in 0u64..400) {
+            let bt = build_topology(&TopologyConfig::default());
+            let mut topo = bt.topology.clone();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in 0..topo.links().len() {
+                if rng.next_u64() % 1_000 < down_permille {
+                    topo.set_link_up(LinkId(i as u32), false);
+                }
+            }
+            let mut eng = RoutingEngine::new();
+            for (src, dst) in sample_pairs(&bt, &mut rng, 24) {
+                assert_matches_reference(&mut eng, &topo, src, dst);
+            }
+        }
+    }
+
+    /// Damage → heal → re-damage on one engine: every version move drops
+    /// the cached candidates, and each version's routes match the
+    /// reference computed from scratch.
+    #[test]
+    fn version_moves_recompute_against_the_reference() {
+        let bt = build_topology(&TopologyConfig::default());
+        let mut topo = bt.topology.clone();
+        let mut rng = StdRng::seed_from_u64(14);
+        let pairs = sample_pairs(&bt, &mut rng, 32);
+        let mut eng = RoutingEngine::new();
+        let check = |eng: &mut RoutingEngine, topo: &Topology| {
+            for &(src, dst) in &pairs {
+                assert_matches_reference(eng, topo, src, dst);
+            }
+            let cache = eng.cache.as_ref().expect("routes were cached");
+            assert_eq!(cache.version, topo.version(), "cache holds the current version only");
+            assert!(cache.candidates.len() <= pairs.len());
+        };
+        check(&mut eng, &topo);
+        let damage = |topo: &mut Topology, rng: &mut StdRng| {
+            for i in 0..topo.links().len() {
+                if rng.next_u64().is_multiple_of(5) {
+                    topo.set_link_up(LinkId(i as u32), false);
+                }
+            }
+        };
+        damage(&mut topo, &mut rng);
+        check(&mut eng, &topo);
+        topo.heal_all();
+        check(&mut eng, &topo);
+        damage(&mut topo, &mut rng);
+        check(&mut eng, &topo);
+        // Degradation moves no version, and a fresh snapshot built under it
+        // still routes on base latency.
+        let v = topo.version();
+        for i in 0..topo.links().len() {
+            topo.degrade_link(LinkId(i as u32), 0.1, 3.0);
+        }
+        assert_eq!(topo.version(), v);
+        check(&mut eng, &topo);
+        eng.clear_cache();
+        check(&mut eng, &topo);
+    }
 
     /// Diamond: src(1) climbs to providers 2 and 3, both provide to dst(4).
     /// Direct peer link 1–4 would be valley-free too (Up→Across ends at 4).

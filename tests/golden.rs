@@ -99,3 +99,66 @@ fn export_artifacts_match_the_golden_digest() {
     assert_eq!(artifacts, 19, "export artifact set changed");
     assert_digest("export artifacts", &text, EXPORT_DIGEST);
 }
+
+/// FNV-1a over the columnar store `run_store_generate` writes at scale
+/// 0.02, seed 2022, scenario `historical`: for every shard in manifest
+/// order its `.unified.ndts` then `.traces.ndts` file, then `STORE.txt` —
+/// each as name, byte length and bytes. Pins every stored row and the
+/// simulator's routing under it, not just the analyses on top.
+const HISTORICAL_STORE_DIGEST: u64 = 0xe3ba_7b6c_0d4a_6ab0;
+
+/// The same store digest for `transit-reroute`, whose permanent
+/// re-homings and flap windows drive link failures (and so route
+/// recomputation) hardest of the built-in scenarios.
+const TRANSIT_REROUTE_STORE_DIGEST: u64 = 0x3e44_9022_e53c_549a;
+
+/// Generates the store for `scenario` into a fresh temp dir and digests it.
+fn store_digest(scenario: ukraine_ndt::mlab::sim::Scenario, tag: &str) -> u64 {
+    use ukraine_ndt::runner::{run_store_generate, STORE_MANIFEST};
+    use ukraine_ndt::store::wire::{fnv1a64_extend, FNV_OFFSET_BASIS};
+    let dir = std::env::temp_dir().join(format!("ndt-golden-store-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sim = SimConfig { scale: 0.02, seed: 2022, threads: 2, scenario, ..SimConfig::default() };
+    let mut cfg = PipelineConfig::new(sim, &dir);
+    cfg.checkpoints = false;
+    let store_dir = dir.join("store");
+    run_store_generate(&cfg, &store_dir).expect("store generates");
+    let manifest = std::fs::read_to_string(store_dir.join(STORE_MANIFEST)).expect("manifest");
+    let mut names: Vec<String> = manifest
+        .lines()
+        .filter_map(|l| l.strip_prefix("shard "))
+        .flat_map(|stem| [format!("{stem}.unified.ndts"), format!("{stem}.traces.ndts")])
+        .collect();
+    assert!(!names.is_empty(), "{tag}: manifest lists no shards");
+    names.push(STORE_MANIFEST.to_string());
+    let mut h = FNV_OFFSET_BASIS;
+    for name in &names {
+        let bytes = std::fs::read(store_dir.join(name)).expect("store file reads");
+        h = fnv1a64_extend(h, format!("{name}\n{}\n", bytes.len()).as_bytes());
+        h = fnv1a64_extend(h, &bytes);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    h
+}
+
+fn assert_store_digest(what: &str, got: u64, want: u64) {
+    assert_eq!(
+        got, want,
+        "{what} store digest moved: got {got:#018x}; if the change is intended, update the \
+         constant and say why in CHANGES.md"
+    );
+}
+
+#[test]
+fn historical_store_matches_the_golden_digest() {
+    use ukraine_ndt::mlab::sim::Scenario;
+    let got = store_digest(Scenario::HISTORICAL, "historical");
+    assert_store_digest("historical", got, HISTORICAL_STORE_DIGEST);
+}
+
+#[test]
+fn transit_reroute_store_matches_the_golden_digest() {
+    use ukraine_ndt::mlab::sim::Scenario;
+    let got = store_digest(Scenario::TRANSIT_REROUTE, "transit-reroute");
+    assert_store_digest("transit-reroute", got, TRANSIT_REROUTE_STORE_DIGEST);
+}
